@@ -11,7 +11,6 @@ from .engine import (
     ComparisonReport,
     Disposition,
     LbParams,
-    ReadyQueue,
     SimulationReport,
     compare_systems,
     compute_quantum,
@@ -23,7 +22,6 @@ from .teletraffic import (
     BlockingCurvePoint,
     OfferedLoad,
     blocking_sweep,
-    empirical_blocking,
     erlang_b,
     format_blocking_csv,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "LbParams",
     "NetworkTopology",
     "OfferedLoad",
-    "ReadyQueue",
     "SimulationReport",
     "TopologyConfig",
     "WorkloadParams",
@@ -68,7 +65,6 @@ __all__ = [
     "build_topology",
     "compare_systems",
     "compute_quantum",
-    "empirical_blocking",
     "erlang_b",
     "export_workload",
     "format_blocking_csv",

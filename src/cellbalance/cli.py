@@ -295,7 +295,7 @@ def console_block(report: SimulationReport, topology: NetworkTopology) -> str:
     if report.system == "normal":
         lines.append(f"Number of Blocked calls = {report.blocked}")
     else:
-        lines.append(f"Number of Handover calls = {overflow}")
+        lines.append(f"Number of Handover calls = {report.handed_over}")
         for bsc in topology.bscs[1:]:
             lines.append(f"channel free BSC{bsc.id + 1} = {bsc.free_channels}")
         for bsc in topology.bscs[1:]:

@@ -9,11 +9,23 @@ enter a round-robin ready queue. Each pass grants the head call one
 quantum of handover processing; unfinished calls re-enqueue at the tail,
 finished ones take a channel on the next neighbor controller in rotation.
 When the neighbor pools run dry, whatever is still queued is blocked.
+
+The queue is never simulated pass by pass: a call that needs k passes
+finishes in pass k, and within a pass calls finish in queue order, so
+calls complete in stable order of (k, queue position). The first ones,
+up to the neighbors' pooled capacity, are handed over and the rest are
+blocked. The rotation hands out one channel per neighbor with a channel
+left, round after round, whatever the calls are.
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property, partial
+from itertools import islice
+from typing import Callable
+
+import numpy as np
 
 from .topology import HOME_BSC, BscId, ChannelLedger, NetworkTopology, neighbor_ids
 from .traffic import CallRequest, average_arrival_range
@@ -60,43 +72,16 @@ class LbParams:
             )
 
 
-@dataclass
-class ReadyQueue:
-    """FIFO of (call id, remaining demand ms) with a fixed service quantum."""
-
-    quantum_ms: float
-    context_switch_ms: float = DEFAULT_CONTEXT_SWITCH_MS
-    entries: deque = field(default_factory=deque)
-
-    def __post_init__(self) -> None:
-        if self.quantum_ms <= 0:
-            raise ValueError(f"quantum_ms = {self.quantum_ms}, need > 0")
-        if self.context_switch_ms < 0:
-            raise ValueError(f"context_switch_ms = {self.context_switch_ms}, need >= 0")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def push(self, call_id: int, remaining_demand_ms: float) -> None:
-        if remaining_demand_ms <= 0:
-            raise ValueError(
-                f"call {call_id}: remaining demand {remaining_demand_ms} must be > 0"
-            )
-        self.entries.append((call_id, remaining_demand_ms))
-
-    def pop(self) -> tuple[int, float]:
-        return self.entries.popleft()
-
-    def serve_head(self) -> tuple[int, float]:
-        """Grant the head call one quantum; return (call id, demand left after)."""
-        call_id, remaining = self.entries.popleft()
-        return call_id, remaining - self.quantum_ms
-
-
 @dataclass(frozen=True)
 class SimulationReport:
+    """Counts and totals of one run.
+
+    `records` (per-call outcomes in arrival order) is built on first read
+    from what the engine kept, so summaries never pay for it. Equality and
+    repr include the records.
+    """
+
     system: str
-    records: tuple[CallRecord, ...]
     accepted_home: int
     handed_over: int
     blocked: int
@@ -104,6 +89,26 @@ class SimulationReport:
     total_execution_time_ms: float
     empirical_blocking: float
     quantum_ms: float | None = None
+    _build_records: Callable[[], list[CallRecord]] = field(
+        default=list, repr=False, compare=False
+    )
+
+    @cached_property
+    def records(self) -> tuple[CallRecord, ...]:
+        return tuple(self._build_records())
+
+    def _compared(self) -> dict:
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        return {**values, "records": self.records}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimulationReport):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={value!r}" for name, value in self._compared().items())
+        return f"SimulationReport({inner})"
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,24 @@ def slice_execution_time(quantum_ms: float, context_switch_ms: float) -> float:
     return quantum_ms + context_switch_ms
 
 
-def _check_sorted(calls: list[CallRequest]) -> None:
+def slices_to_finish(demand_ms: float, quantum_ms: float) -> int:
+    """Round-robin passes a call of this demand takes to finish.
+
+    Subtracts the quantum once per pass until nothing is left, the float
+    operations a queued call goes through; ceil(demand / quantum) rounds
+    differently.
+    """
+    if not math.isfinite(demand_ms) or demand_ms <= 0:
+        raise ValueError(f"demand {demand_ms} ms, need finite and > 0")
+    slices = 1
+    remaining = demand_ms - quantum_ms
+    while remaining > 0:
+        remaining -= quantum_ms
+        slices += 1
+    return slices
+
+
+def _check_sorted(calls: tuple[CallRequest, ...]) -> None:
     for prev, cur in zip(calls, calls[1:]):
         if cur.arrival_time_ms < prev.arrival_time_ms:
             raise ValueError(
@@ -139,31 +161,111 @@ def _check_sorted(calls: list[CallRequest]) -> None:
             )
 
 
-def _build_report(
+def _admit_home(
+    calls: tuple[CallRequest, ...], ledger: ChannelLedger, waiting_ms: float
+) -> tuple[int, float]:
+    """Home admission of both systems: the first calls, as many as the home
+    pool holds, take home channels. Returns how many did and the system
+    clock charged for them (arrival + waiting), summed in arrival order."""
+    home = min(len(calls), ledger.available(HOME_BSC))
+    ledger.assign(HOME_BSC, home)
+    total = 0.0
+    for call in islice(calls, home):
+        total += call.arrival_time_ms + waiting_ms
+    return home, total
+
+
+def _home_records(
+    calls: tuple[CallRequest, ...], home: int, waiting_ms: float
+) -> list[CallRecord]:
+    return [
+        CallRecord(
+            call_id=call.id,
+            disposition=Disposition.ACCEPTED_HOME,
+            serving_bsc=HOME_BSC,
+            execution_time_ms=call.arrival_time_ms + waiting_ms,
+            slices_used=0,
+        )
+        for call in islice(calls, home)
+    ]
+
+
+def _blocked_record(call_id: int) -> CallRecord:
+    return CallRecord(
+        call_id=call_id,
+        disposition=Disposition.BLOCKED,
+        serving_bsc=None,
+        execution_time_ms=0.0,
+        slices_used=0,
+    )
+
+
+def _normal_records(
+    calls: tuple[CallRequest, ...], home: int, waiting_ms: float
+) -> list[CallRecord]:
+    """Records in arrival order: the first `home` calls accepted at home,
+    the rest blocked."""
+    records = _home_records(calls, home, waiting_ms)
+    records.extend(_blocked_record(call.id) for call in islice(calls, home, None))
+    return records
+
+
+def _lb_records(
+    calls: tuple[CallRequest, ...],
+    home: int,
+    waiting_ms: float,
+    slices: list[int],
+    slice_cost: float,
+    handed: list[int],
+    targets: np.ndarray,
+    neighbors: list[BscId],
+) -> list[CallRecord]:
+    """Records in arrival order: the first `home` calls accepted at home;
+    overflow call i (queue position) needed slices[i] passes, and the j-th
+    handover went to call handed[j] on neighbors[targets[j]]; the rest of
+    the overflow is blocked."""
+    overflow = calls[home:]
+    serving: list[BscId | None] = [None] * len(overflow)
+    for pos, target in zip(handed, targets.tolist()):
+        serving[pos] = neighbors[target]
+    records = _home_records(calls, home, waiting_ms)
+    for call, k, bsc in zip(overflow, slices, serving):
+        if bsc is None:
+            records.append(_blocked_record(call.id))
+        else:
+            records.append(
+                CallRecord(
+                    call_id=call.id,
+                    disposition=Disposition.HANDED_OVER,
+                    serving_bsc=bsc,
+                    execution_time_ms=k * slice_cost,
+                    slices_used=k,
+                )
+            )
+    return records
+
+
+def _report(
     system: str,
-    records: list[CallRecord],
-    topology: NetworkTopology,
+    ledger: ChannelLedger,
+    n_calls: int,
+    handed_over: int,
     total_execution_time_ms: float,
-    quantum_ms: float | None = None,
+    quantum_ms: float | None,
+    build_records: Callable[[], list[CallRecord]],
 ) -> SimulationReport:
-    counts = {d: 0 for d in Disposition}
-    per_bsc = {b.id: 0 for b in topology.bscs}
-    for rec in records:
-        counts[rec.disposition] += 1
-        if rec.serving_bsc is not None:
-            per_bsc[rec.serving_bsc] += 1
-    total = len(records)
-    blocked = counts[Disposition.BLOCKED]
+    accepted_home = ledger.assigned(HOME_BSC)
+    blocked = n_calls - accepted_home - handed_over
     return SimulationReport(
         system=system,
-        records=tuple(records),
-        accepted_home=counts[Disposition.ACCEPTED_HOME],
-        handed_over=counts[Disposition.HANDED_OVER],
+        accepted_home=accepted_home,
+        handed_over=handed_over,
         blocked=blocked,
-        per_bsc_handled=per_bsc,
+        per_bsc_handled={bsc: ledger.assigned(bsc) for bsc in ledger.initial},
         total_execution_time_ms=total_execution_time_ms,
-        empirical_blocking=blocked / total if total else 0.0,
+        empirical_blocking=blocked / n_calls if n_calls else 0.0,
         quantum_ms=quantum_ms,
+        _build_records=build_records,
     )
 
 
@@ -179,55 +281,30 @@ def simulate_normal(
     blocked requests spend that time too before rejection, but their
     records carry zero execution time since they received no service.
     """
+    calls = tuple(calls)
     _check_sorted(calls)
     ledger = ChannelLedger.from_topology(topology)
-    records = []
-    total = 0.0
-    for call in calls:
+    home, total = _admit_home(calls, ledger, waiting_ms)
+    for call in islice(calls, home, None):
         total += call.arrival_time_ms + waiting_ms
-        if ledger.available(HOME_BSC) > 0:
-            ledger.assign(HOME_BSC)
-            records.append(
-                CallRecord(
-                    call_id=call.id,
-                    disposition=Disposition.ACCEPTED_HOME,
-                    serving_bsc=HOME_BSC,
-                    execution_time_ms=call.arrival_time_ms + waiting_ms,
-                    slices_used=0,
-                )
-            )
-        else:
-            records.append(
-                CallRecord(
-                    call_id=call.id,
-                    disposition=Disposition.BLOCKED,
-                    serving_bsc=None,
-                    execution_time_ms=0.0,
-                    slices_used=0,
-                )
-            )
-    return _build_report(NORMAL, records, topology, total)
-
-
-def _blocked_record(call_id: int) -> CallRecord:
-    return CallRecord(
-        call_id=call_id,
-        disposition=Disposition.BLOCKED,
-        serving_bsc=None,
-        execution_time_ms=0.0,
-        slices_used=0,
+    return _report(
+        NORMAL, ledger, len(calls), 0, total, None,
+        partial(_normal_records, calls, home, waiting_ms),
     )
 
 
-def _next_free_neighbor(
-    ledger: ChannelLedger, neighbors: list[BscId], start: int
-) -> int | None:
-    """Index into neighbors of the first free pool at or after start, cyclically."""
-    for offset in range(len(neighbors)):
-        idx = (start + offset) % len(neighbors)
-        if ledger.available(neighbors[idx]) > 0:
-            return idx
-    return None
+def _rotation_targets(capacities: list[int], count: int) -> np.ndarray:
+    """Index into capacities of the pool taking each of the first `count`
+    handovers, which must not exceed the pools' total.
+
+    The rotation moves one position past each pool it assigns from and
+    skips exhausted ones, so it deals in rounds: one channel from every
+    pool that still has one, in list order.
+    """
+    pools = np.asarray(capacities)
+    rounds = min(int(pools.max(initial=0)), count)
+    has_channel = np.arange(rounds)[:, None] < pools  # [round, pool]
+    return np.nonzero(has_channel)[1][:count]
 
 
 def simulate_load_balanced(
@@ -247,72 +324,49 @@ def simulate_load_balanced(
     """
     if params is None:
         params = LbParams()
+    calls = tuple(calls)
     _check_sorted(calls)
     ledger = ChannelLedger.from_topology(topology)
+    home, total = _admit_home(calls, ledger, params.waiting_ms)
+    overflow = calls[home:]
+    if not overflow:
+        return _report(
+            LOAD_BALANCED, ledger, len(calls), 0, total, None,
+            partial(_normal_records, calls, home, params.waiting_ms),
+        )
+
+    if params.quantum_override_ms is not None:
+        quantum = params.quantum_override_ms
+    else:
+        quantum = compute_quantum(average_arrival_range(overflow), float(len(overflow)))
+    slice_cost = slice_execution_time(quantum, params.context_switch_ms)
+
+    slices_by_demand: dict[float, int] = {}
+    slices = []
+    for call in overflow:
+        k = slices_by_demand.get(call.demand_ms)
+        if k is None:
+            k = slices_by_demand[call.demand_ms] = slices_to_finish(call.demand_ms, quantum)
+        slices.append(k)
+    # sorted() is stable: calls finishing in the same pass keep queue order
+    finish_order = sorted(range(len(overflow)), key=slices.__getitem__)
+
     neighbors = neighbor_ids(topology)
-    records: dict[int, CallRecord] = {}
-    total = 0.0
-    overflow: list[CallRequest] = []
+    capacities = [ledger.available(bsc) for bsc in neighbors]
+    handed = finish_order[: min(len(overflow), sum(capacities))]
+    targets = _rotation_targets(capacities, len(handed))
+    for bsc, count in zip(neighbors, np.bincount(targets, minlength=len(neighbors)).tolist()):
+        ledger.assign(bsc, count)
+    for pos in handed:
+        total += slices[pos] * slice_cost
 
-    for call in calls:
-        if ledger.available(HOME_BSC) > 0:
-            ledger.assign(HOME_BSC)
-            exec_time = call.arrival_time_ms + params.waiting_ms
-            records[call.id] = CallRecord(
-                call_id=call.id,
-                disposition=Disposition.ACCEPTED_HOME,
-                serving_bsc=HOME_BSC,
-                execution_time_ms=exec_time,
-                slices_used=0,
-            )
-            total += exec_time
-        else:
-            overflow.append(call)
-
-    quantum = None
-    if overflow:
-        if params.quantum_override_ms is not None:
-            quantum = params.quantum_override_ms
-        else:
-            quantum = compute_quantum(
-                average_arrival_range(overflow), float(len(overflow))
-            )
-        slice_cost = slice_execution_time(quantum, params.context_switch_ms)
-
-        queue = ReadyQueue(quantum_ms=quantum, context_switch_ms=params.context_switch_ms)
-        for call in overflow:
-            queue.push(call.id, call.demand_ms)
-        slices: dict[int, int] = {call.id: 0 for call in overflow}
-        rotation = 0
-
-        while len(queue):
-            if ledger.total_remaining(neighbors) == 0:
-                while len(queue):
-                    call_id, _ = queue.pop()
-                    records[call_id] = _blocked_record(call_id)
-                break
-            call_id, remaining = queue.serve_head()
-            slices[call_id] += 1
-            if remaining > 0:
-                queue.push(call_id, remaining)
-                continue
-            # demand met within this slice: hand the call over
-            idx = _next_free_neighbor(ledger, neighbors, rotation)
-            target = neighbors[idx]
-            ledger.assign(target)
-            rotation = (idx + 1) % len(neighbors)
-            exec_time = slices[call_id] * slice_cost
-            records[call_id] = CallRecord(
-                call_id=call_id,
-                disposition=Disposition.HANDED_OVER,
-                serving_bsc=target,
-                execution_time_ms=exec_time,
-                slices_used=slices[call_id],
-            )
-            total += exec_time
-
-    ordered = [records[call.id] for call in calls]
-    return _build_report(LOAD_BALANCED, ordered, topology, total, quantum_ms=quantum)
+    return _report(
+        LOAD_BALANCED, ledger, len(calls), len(handed), total, quantum,
+        partial(
+            _lb_records, calls, home, params.waiting_ms,
+            slices, slice_cost, handed, targets, neighbors,
+        ),
+    )
 
 
 def compare_systems(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import LbParams, SimulationReport, simulate_load_balanced, simulate_normal
+from .engine import LbParams, simulate_load_balanced, simulate_normal
 from .topology import NetworkTopology
 from .traffic import (
     DEFAULT_ARRIVAL_WINDOW_MS,
@@ -66,14 +66,6 @@ def erlang_b(a: OfferedLoad, n_channels: int) -> float:
     return prob
 
 
-def empirical_blocking(report: SimulationReport) -> float:
-    """Fraction of the run's calls the system could not serve."""
-    total = report.accepted_home + report.handed_over + report.blocked
-    if total == 0:
-        return 0.0
-    return report.blocked / total
-
-
 def derive_level_seed(base_seed: int, level_index: int) -> int:
     """Stable per-level workload seed so sweep points are independent yet
     reproducible from one base seed."""
@@ -116,8 +108,8 @@ def blocking_sweep(
         points.append(
             BlockingCurvePoint(
                 n_calls=n,
-                ns_blocking=empirical_blocking(ns),
-                lb_blocking=empirical_blocking(lb),
+                ns_blocking=ns.empirical_blocking,
+                lb_blocking=lb.empirical_blocking,
             )
         )
     return points

@@ -141,17 +141,15 @@ class ChannelLedger:
     def assigned(self, bsc: BscId) -> int:
         return self.initial[bsc] - self.remaining[bsc]
 
-    def assign(self, bsc: BscId) -> None:
-        if self.remaining[bsc] <= 0:
-            raise ValueError(f"BSC{bsc + 1}: no free channel to assign")
-        self.remaining[bsc] -= 1
+    def assign(self, bsc: BscId, count: int = 1) -> None:
+        if count > self.remaining[bsc]:
+            raise ValueError(
+                f"BSC{bsc + 1}: no free channel to assign "
+                f"({count} requested, {self.remaining[bsc]} left)"
+            )
+        self.remaining[bsc] -= count
 
     def release(self, bsc: BscId) -> None:
         if self.remaining[bsc] >= self.initial[bsc]:
             raise ValueError(f"BSC{bsc + 1}: release without matching assignment")
         self.remaining[bsc] += 1
-
-    def total_remaining(self, bscs: list[BscId] | None = None) -> int:
-        if bscs is None:
-            bscs = list(self.remaining)
-        return sum(self.remaining[b] for b in bscs)

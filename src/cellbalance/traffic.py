@@ -5,6 +5,7 @@ simulation square. One seed drives two independent RNG substreams (arrival
 times, positions) so regenerating with the same params is bit-identical.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -106,12 +107,17 @@ def export_workload(calls: Iterable[CallRequest], path: str | Path) -> None:
 
 
 def import_workload(path: str | Path) -> list[CallRequest]:
-    """Read a workload file written by export_workload."""
+    """Read a workload file written by export_workload.
+
+    Rejects, naming the line, a duplicate call id, a non-finite arrival
+    time and a demand that is not finite and positive.
+    """
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != WORKLOAD_HEADER:
         raise ValueError(f"{path}: missing workload header '{WORKLOAD_HEADER}'")
     calls = []
+    ids = set()
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != 5:
@@ -125,5 +131,14 @@ def import_workload(path: str | Path) -> list[CallRequest]:
             )
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if call.id in ids:
+            raise ValueError(f"{path}:{lineno}: duplicate call id {call.id}")
+        if not math.isfinite(call.arrival_time_ms):
+            raise ValueError(f"{path}:{lineno}: arrival_ms {call.arrival_time_ms} is not finite")
+        if not math.isfinite(call.demand_ms) or call.demand_ms <= 0:
+            raise ValueError(
+                f"{path}:{lineno}: demand_ms {call.demand_ms}, need finite and > 0"
+            )
+        ids.add(call.id)
         calls.append(call)
     return calls

@@ -30,11 +30,14 @@ def walk_flowchart(home_free, neighbor_free, calls, quantum):
     """Literal walk of the admission flow, one state transition at a time.
 
     calls: (call_id, demand_ms) pairs in arrival order.
-    Returns {call_id: (outcome, serving_bsc, slices)} with serving_bsc the
-    1-based neighbor BSC id (home is 0), None when blocked, and slices the
-    number of service passes a handed-over call consumed (0 otherwise).
+    Returns ({call_id: (outcome, serving_bsc, slices)}, handover_order):
+    serving_bsc is the 1-based neighbor BSC id (home is 0), None when
+    blocked, and slices the number of service passes a handed-over call
+    consumed (0 otherwise); handover_order lists the handed-over call ids
+    in the order their service completed.
     """
     outcome = {}
+    handover_order = []
     home = home_free
     neighbors = list(neighbor_free)
 
@@ -47,7 +50,7 @@ def walk_flowchart(home_free, neighbor_free, calls, quantum):
         else:
             waiting.append((call_id, demand))
     if not waiting:
-        return outcome
+        return outcome, handover_order
 
     # overloaded: queue the rest and serve quantum by quantum
     queue = list(waiting)
@@ -74,12 +77,13 @@ def walk_flowchart(home_free, neighbor_free, calls, quantum):
             neighbors[chosen] -= 1
             rotation = (chosen + 1) % len(neighbors)
             outcome[call_id] = (HANDED, chosen + 1, passes[call_id])
+            handover_order.append(call_id)
         # any channel left for the calls still waiting?
         if sum(neighbors) == 0:
             for queued_id, _ in queue:
                 outcome[queued_id] = (BLOCKED, None, 0)
             queue.clear()
-    return outcome
+    return outcome, handover_order
 
 
 # demand multipliers relative to the quantum; quarter steps stay exact in

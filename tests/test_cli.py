@@ -35,6 +35,13 @@ class TestRunCommand:
         assert "BSC2 Handeled = 294" in out
         assert "BSC3 Handeled = 293" in out
 
+    def test_lb_console_handover_count_under_blocking(self, capsys, tmp_path):
+        """3000 calls overflow by 2687, but the neighbors hold only 728."""
+        assert main(["run", "lb", "--calls", "3000", "--output", str(tmp_path / "r.json")]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "Number of Handover calls = 728" in out
+        assert "Number of Blocked calls = 1959" in out
+
     def test_normal_console_reports_blocked(self, capsys, tmp_path):
         main(["run", "normal", "--output", str(tmp_path / "r.json")])
         out = capsys.readouterr().out
@@ -242,6 +249,37 @@ class TestGenAndReplay:
         bad.write_text("not a workload\n")
         assert main(["run", "lb", "--workload", str(bad)]) == EXIT_USAGE
         assert "workload" in capsys.readouterr().err
+
+    @staticmethod
+    def replay_rows(tmp_path, capsys, command, rows):
+        path = tmp_path / "wl.csv"
+        path.write_text(WORKLOAD_HEADER + "\n" + "\n".join(rows) + "\n")
+        code = main(command + ["--bsc-channels", "1,1,1", "--workload", str(path)])
+        return code, capsys.readouterr().err, f"{path}:"
+
+    def test_duplicate_ids_exit_2(self, tmp_path, capsys):
+        """Three rows with id 0 used to be reported as three handovers into
+        a one-channel pool."""
+        rows = ["0,1.0,0.5,0.5,0.4", "0,2.0,0.5,0.5,0.4", "0,3.0,0.5,0.5,0.4"]
+        code, err, where = self.replay_rows(tmp_path, capsys, ["run", "lb"], rows)
+        assert code == EXIT_USAGE
+        assert f"{where}3: duplicate call id 0" in err
+
+    @pytest.mark.parametrize("arrival", ["nan", "inf", "-inf"])
+    def test_nonfinite_arrival_exit_2(self, tmp_path, capsys, arrival):
+        """A nan arrival used to write NaN totals and exit 0."""
+        rows = ["0,1.0,0.5,0.5,0.4", f"1,{arrival},0.5,0.5,0.4"]
+        code, err, where = self.replay_rows(tmp_path, capsys, ["compare"], rows)
+        assert code == EXIT_USAGE
+        assert f"{where}3: arrival_ms {arrival} is not finite" in err
+
+    @pytest.mark.parametrize("demand", ["inf", "nan", "0.0", "-0.4"])
+    def test_bad_demand_exit_2(self, tmp_path, capsys, demand):
+        """An inf demand used to make compare spin forever in the queue."""
+        rows = ["0,1.0,0.5,0.5,0.4", "1,2.0,0.5,0.5,0.4", f"2,3.0,0.5,0.5,{demand}"]
+        code, err, where = self.replay_rows(tmp_path, capsys, ["compare"], rows)
+        assert code == EXIT_USAGE
+        assert f"{where}4: demand_ms {float(demand)}, need finite and > 0" in err
 
 
 class TestConfigFile:

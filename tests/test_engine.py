@@ -10,12 +10,12 @@ from cellbalance.engine import (
     CallRecord,
     Disposition,
     LbParams,
-    ReadyQueue,
     compare_systems,
     compute_quantum,
     simulate_load_balanced,
     simulate_normal,
     slice_execution_time,
+    slices_to_finish,
 )
 from cellbalance.topology import TopologyConfig, build_topology
 from cellbalance.traffic import CallRequest, WorkloadParams, generate_workload
@@ -68,30 +68,28 @@ class TestSliceExecutionTime:
         assert slice_execution_time(1.0, 0.25) == 1.25
 
 
-class TestReadyQueue:
-    def test_fifo_order(self):
-        q = ReadyQueue(quantum_ms=1.0)
-        q.push(1, 0.4)
-        q.push(2, 0.4)
-        q.push(3, 0.4)
-        assert [q.pop()[0] for _ in range(3)] == [1, 2, 3]
+class TestSlicesToFinish:
+    def test_repeated_subtraction(self):
+        assert slices_to_finish(1.25, 0.5) == 3
+        assert slices_to_finish(0.4, 0.5) == 1
+        assert slices_to_finish(1.0, 0.5) == 2
 
-    def test_serve_head_subtracts_quantum(self):
-        q = ReadyQueue(quantum_ms=0.5)
-        q.push(7, 1.25)
-        assert q.serve_head() == (7, 0.75)
-        assert len(q) == 0
+    def test_rounds_like_the_queue_not_like_ceil(self):
+        """Four subtractions of 0.1 from 0.4 leave 2.8e-17 > 0, so a fifth
+        pass runs, although 0.4 / 0.1 rounds to exactly 4.0."""
+        assert math.ceil(0.4 / 0.1) == 4
+        assert slices_to_finish(0.4, 0.1) == 5
 
-    def test_rejects_spent_entries(self):
-        q = ReadyQueue(quantum_ms=1.0)
-        with pytest.raises(ValueError, match="must be > 0"):
-            q.push(1, 0.0)
+    def test_rejects_nonpositive_demand(self):
+        with pytest.raises(ValueError, match="need finite and > 0"):
+            slices_to_finish(0.0, 1.0)
+        with pytest.raises(ValueError, match="need finite and > 0"):
+            slices_to_finish(-0.5, 1.0)
 
-    def test_rejects_bad_quantum(self):
-        with pytest.raises(ValueError, match="quantum_ms"):
-            ReadyQueue(quantum_ms=0.0)
-        with pytest.raises(ValueError, match="context_switch_ms"):
-            ReadyQueue(quantum_ms=1.0, context_switch_ms=-0.1)
+    @pytest.mark.parametrize("demand", [math.inf, math.nan])
+    def test_rejects_nonfinite_demand(self, demand):
+        with pytest.raises(ValueError, match="need finite and > 0"):
+            slices_to_finish(demand, 1.0)
 
 
 class TestLbParams:

@@ -5,6 +5,7 @@ instance both must report identical dispositions, serving BSCs, and slice
 counts.
 """
 
+from hypothesis import example, given, settings, strategies as st
 from oracles import oracle_instances, walk_flowchart
 
 from cellbalance.engine import LbParams, simulate_load_balanced
@@ -27,7 +28,7 @@ def engine_outcomes(report):
 
 
 def walker_outcomes(channels, calls, quantum):
-    return walk_flowchart(channels[0], channels[1:], calls, quantum)
+    return walk_flowchart(channels[0], channels[1:], calls, quantum)[0]
 
 
 def test_engine_matches_walker_exhaustively():
@@ -72,3 +73,56 @@ def test_engine_matches_walker_with_computed_quantum():
                     assert engine_outcomes(report) == expected
                     checked += 1
     assert checked == 81
+
+
+@st.composite
+def float_instances(draw):
+    """Random topologies and sorted arrivals, with demands drawn from a few
+    arbitrary floats and either the computed quantum or an override."""
+    n_bscs = draw(st.integers(min_value=2, max_value=4))
+    channels = tuple(draw(st.integers(min_value=0, max_value=8)) for _ in range(n_bscs))
+    n = draw(st.integers(min_value=0, max_value=24))
+    arrivals = sorted(
+        draw(st.lists(st.floats(min_value=0.5, max_value=100.0), min_size=n, max_size=n))
+    )
+    demand_values = draw(
+        st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=3)
+    )
+    demands = draw(st.lists(st.sampled_from(demand_values), min_size=n, max_size=n))
+    quantum = draw(st.none() | st.floats(min_value=0.05, max_value=3.0))
+    return channels, arrivals, demands, quantum
+
+
+# neighbors (1 + 1 channels) run dry while five overflow calls still queue
+@example(((1, 1, 1), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.3, 0.7, 0.3, 1.1, 0.7, 0.3], 0.2))
+@given(float_instances())
+@settings(max_examples=300, deadline=None)
+def test_engine_matches_walker_on_float_demands(instance):
+    channels, arrivals, demands, override = instance
+    requests = [
+        CallRequest(id=i, arrival_time_ms=t, position=(0.5, 0.5), demand_ms=d)
+        for i, (t, d) in enumerate(zip(arrivals, demands))
+    ]
+    params = LbParams(quantum_override_ms=override)
+    report = simulate_load_balanced(
+        build_topology(TopologyConfig(bsc_channels=channels)), requests, params
+    )
+    home = min(len(requests), channels[0])
+    queued = arrivals[home:]
+    quantum = override
+    if quantum is None and queued:
+        quantum = (sum(queued) / len(queued)) / len(queued)
+    assert report.quantum_ms == (quantum if queued else None)
+
+    expected, handover_order = walk_flowchart(
+        channels[0], channels[1:], list(enumerate(demands)), quantum
+    )
+    assert engine_outcomes(report) == expected
+
+    # the system clock: home calls in arrival order, then handovers as they complete
+    total = 0.0
+    for t in arrivals[:home]:
+        total += t + params.waiting_ms
+    for call_id in handover_order:
+        total += expected[call_id][2] * (quantum + params.context_switch_ms)
+    assert report.total_execution_time_ms == total

@@ -9,7 +9,6 @@ from cellbalance.teletraffic import (
     OfferedLoad,
     blocking_sweep,
     derive_level_seed,
-    empirical_blocking,
     erlang_b,
     format_blocking_csv,
 )
@@ -84,11 +83,11 @@ class TestEmpiricalBlocking:
     def test_default_scenario_normal_run(self):
         calls = generate_workload(WorkloadParams(n_calls=900), DEFAULT_TOPO)
         report = simulate_normal(DEFAULT_TOPO, calls)
-        assert empirical_blocking(report) == 587 / 900
+        assert report.empirical_blocking == 587 / 900
 
     def test_empty_run(self):
         report = simulate_normal(DEFAULT_TOPO, [])
-        assert empirical_blocking(report) == 0.0
+        assert report.empirical_blocking == 0.0
 
     def test_total_starvation(self):
         topo = build_topology(TopologyConfig(bsc_channels=(0, 0)))
@@ -96,7 +95,7 @@ class TestEmpiricalBlocking:
             CallRequest(id=i, arrival_time_ms=float(i), position=(0.5, 0.5), demand_ms=0.4)
             for i in range(5)
         ]
-        assert empirical_blocking(simulate_normal(topo, calls)) == 1.0
+        assert simulate_normal(topo, calls).empirical_blocking == 1.0
 
 
 class TestDeriveLevelSeed:

@@ -121,13 +121,6 @@ class TestChannelLedger:
         with pytest.raises(ValueError, match="release"):
             ledger.release(0)
 
-    def test_total_remaining_over_subset(self):
-        ledger = ChannelLedger.from_topology(default_topology())
-        assert ledger.total_remaining([1, 2]) == 728
-        ledger.assign(2)
-        assert ledger.total_remaining([1, 2]) == 727
-        assert ledger.total_remaining([0]) == 313
-
     @given(
         channels=st.lists(st.integers(min_value=0, max_value=20), min_size=2, max_size=5),
         ops=st.lists(st.integers(min_value=0, max_value=4), max_size=60),
