@@ -28,11 +28,9 @@ from .teletraffic import (
 from .topology import (
     BscConfig,
     BscId,
-    ChannelLedger,
     NetworkTopology,
     TopologyConfig,
     build_topology,
-    neighbor_ids,
 )
 from .traffic import (
     CallRequest,
@@ -51,7 +49,6 @@ __all__ = [
     "BscId",
     "CallRecord",
     "CallRequest",
-    "ChannelLedger",
     "ComparisonReport",
     "Disposition",
     "LbParams",
@@ -70,7 +67,6 @@ __all__ = [
     "format_blocking_csv",
     "generate_workload",
     "import_workload",
-    "neighbor_ids",
     "simulate_load_balanced",
     "simulate_normal",
     "slice_execution_time",

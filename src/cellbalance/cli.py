@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .engine import (
     DEFAULT_CONTEXT_SWITCH_MS,
@@ -47,8 +48,9 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
 
-class ConfigError(Exception):
-    """User-facing configuration problem; maps to exit status 2."""
+class ConfigError(ValueError):
+    """User-facing configuration problem; maps to exit status 2 like every
+    ValueError."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,9 @@ class RunConfig:
     format: str = "json"
     output: str | None = None
 
+    # Each is built, and so validated, once: the range checks live in the
+    # objects themselves and their messages name the config key.
+    @cached_property
     def lb_params(self) -> LbParams:
         return LbParams(
             context_switch_ms=self.context_switch_ms,
@@ -73,19 +78,17 @@ class RunConfig:
             quantum_override_ms=self.quantum_override_ms,
         )
 
+    @cached_property
     def topology(self) -> NetworkTopology:
-        try:
-            return build_topology(
-                TopologyConfig(
-                    bsc_channels=self.bsc_channels,
-                    cells_per_bsc=self.cells_per_bsc,
-                    area_km=self.area_km,
-                )
+        return build_topology(
+            TopologyConfig(
+                bsc_channels=self.bsc_channels,
+                cells_per_bsc=self.cells_per_bsc,
+                area_km=self.area_km,
             )
-        except ValueError as exc:
-            # build_topology messages already name the offending key
-            raise ConfigError(str(exc)) from exc
+        )
 
+    @cached_property
     def workload_params(self) -> WorkloadParams:
         return WorkloadParams(
             n_calls=self.n_calls,
@@ -120,21 +123,21 @@ def _parse_channels(text: str, where: str) -> tuple[int, ...]:
 
 
 def _parse_value(key: str, raw: str, where: str):
+    if key == "bsc_channels":
+        return _parse_channels(raw, where)
+    if key == "format":
+        if raw not in ("csv", "json"):
+            raise ConfigError(f"{where}: format must be csv or json, got '{raw}'")
+        return raw
+    if key == "output":
+        return raw
     try:
-        if key == "bsc_channels":
-            return _parse_channels(raw, where)
         if key in _INT_KEYS:
             return int(raw)
         if key in _FLOAT_KEYS:
             return float(raw)
         if key == "quantum_override_ms":
             return None if raw.lower() in ("none", "") else float(raw)
-        if key == "format":
-            if raw not in ("csv", "json"):
-                raise ConfigError(f"{where}: format must be csv or json, got '{raw}'")
-            return raw
-        if key == "output":
-            return raw
     except ValueError as exc:
         raise ConfigError(f"{where}: key '{key}' has invalid value '{raw}'") from exc
     raise ConfigError(f"{where}: unknown key '{key}'")
@@ -161,7 +164,11 @@ def load_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Layer defaults, then the config file, then command-line flags."""
+    """Layer defaults, then the config file, then command-line flags.
+
+    Builds the topology, workload and load-balancing params, so a bad value
+    raises ValueError (exit 2) before any subcommand runs.
+    """
     config = RunConfig()
     if getattr(args, "config", None):
         config = replace(config, **load_config_file(args.config))
@@ -174,46 +181,31 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 _parse_channels(value, "--bsc-channels") if key == "bsc_channels" else value
             )
     config = replace(config, **overrides)
-    _validate_config(config)
+    config.topology, config.workload_params, config.lb_params  # built and checked here
     return config
 
 
-def _validate_config(config: RunConfig) -> None:
-    if config.n_calls < 0:
-        raise ConfigError(f"key 'n_calls': {config.n_calls} is negative")
-    if config.arrival_window_ms <= 0:
-        raise ConfigError(f"key 'arrival_window_ms': {config.arrival_window_ms} must be > 0")
-    if config.demand_ms <= 0:
-        raise ConfigError(f"key 'demand_ms': {config.demand_ms} must be > 0")
-    if config.context_switch_ms < 0:
-        raise ConfigError(f"key 'context_switch_ms': {config.context_switch_ms} must be >= 0")
-    if config.waiting_ms < 0:
-        raise ConfigError(f"key 'waiting_ms': {config.waiting_ms} must be >= 0")
-    if config.quantum_override_ms is not None and config.quantum_override_ms <= 0:
-        raise ConfigError(
-            f"key 'quantum_override_ms': {config.quantum_override_ms} must be > 0"
-        )
-
-
-def _load_calls(config: RunConfig, workload_path: str | None, topology) -> list[CallRequest]:
+def _load_calls(config: RunConfig, workload_path: str | None) -> list[CallRequest]:
     if workload_path:
         try:
             calls = import_workload(workload_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"workload '{workload_path}': {exc}") from exc
         return sorted(calls, key=lambda c: c.arrival_time_ms)
-    return generate_workload(config.workload_params(), topology)
+    return generate_workload(config.workload_params, config.topology)
 
 
 # --- report serialization ---------------------------------------------------
 
 
-def report_params(config: RunConfig, report: SimulationReport) -> dict:
+def report_params(config: RunConfig, report: SimulationReport, n_calls: int) -> dict:
+    """The run's parameters; n_calls is the number of calls simulated, which
+    a replayed workload file sets, not the config."""
     return {
         "bsc_channels": list(config.bsc_channels),
         "cells_per_bsc": config.cells_per_bsc,
         "area_km": config.area_km,
-        "n_calls": config.n_calls,
+        "n_calls": n_calls,
         "seed": config.seed,
         "arrival_window_ms": config.arrival_window_ms,
         "demand_ms": config.demand_ms,
@@ -318,17 +310,16 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    topology = config.topology()
-    calls = _load_calls(config, args.workload, topology)
+    topology = config.topology
+    calls = _load_calls(config, args.workload)
     if args.system == "normal":
         report = simulate_normal(topology, calls, waiting_ms=config.waiting_ms)
     else:
-        report = simulate_load_balanced(topology, calls, config.lb_params())
+        report = simulate_load_balanced(topology, calls, config.lb_params)
     print(console_block(report, topology))
     if config.format == "json":
-        text = json.dumps(
-            report_document(report, report_params(config, report), args.full), indent=2
-        ) + "\n"
+        params = report_params(config, report, len(calls))
+        text = json.dumps(report_document(report, params, args.full), indent=2) + "\n"
     else:
         text = records_csv(report)
     _emit(text, config.output)
@@ -337,9 +328,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    topology = config.topology()
-    calls = _load_calls(config, args.workload, topology)
-    comparison = compare_systems(topology, calls, config.lb_params())
+    topology = config.topology
+    calls = _load_calls(config, args.workload)
+    comparison = compare_systems(topology, calls, config.lb_params)
     ns, lb = comparison.normal, comparison.load_balanced
     print(console_block(lb, topology))
     print(
@@ -353,7 +344,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"blocking delta = {comparison.blocking_delta_pp:.4f} percentage points")
     print(f"execution time delta = {comparison.execution_time_delta_ms:.4f} ms")
     if config.format == "json":
-        params = report_params(config, lb)
+        params = report_params(config, lb, len(calls))
         text = json.dumps(comparison_document(comparison, params, args.full), indent=2) + "\n"
     else:
         text = comparison_csv(comparison)
@@ -362,7 +353,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def parse_levels(text: str) -> list[int]:
-    """Either start:stop:step (stop inclusive) or a comma list of levels."""
+    """Either start:stop:step (stop inclusive) or a comma list of levels.
+
+    Checks syntax only; blocking_sweep checks the levels themselves.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -373,34 +367,25 @@ def parse_levels(text: str) -> list[int]:
             raise ConfigError(f"range '{text}' must be integers") from exc
         if step <= 0:
             raise ConfigError(f"range '{text}': step must be > 0")
-        if stop < start:
-            raise ConfigError(f"range '{text}': stop < start (descending range)")
-        if start < 0:
-            raise ConfigError(f"range '{text}': start must be >= 0")
-        return list(range(start, stop + 1, step))
-    try:
-        levels = [int(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"levels '{text}' must be integers") from exc
+        levels = list(range(start, stop + 1, step))
+    else:
+        try:
+            levels = [int(p) for p in text.split(",") if p.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"levels '{text}' must be integers") from exc
     if not levels:
-        raise ConfigError(f"levels '{text}' is empty")
-    for a, b in zip(levels, levels[1:]):
-        if b < a:
-            raise ConfigError(f"levels '{text}' must ascend")
-    if levels[0] < 0:
-        raise ConfigError(f"levels '{text}' must be >= 0")
+        raise ConfigError(f"levels '{text}' is empty (a descending range holds no level)")
     return levels
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    topology = config.topology()
     levels = parse_levels(args.levels)
     points = blocking_sweep(
-        topology,
+        config.topology,
         levels,
         seed=config.seed,
-        lb_params=config.lb_params(),
+        lb_params=config.lb_params,
         arrival_window_ms=config.arrival_window_ms,
         demand_ms=config.demand_ms,
     )
@@ -417,16 +402,13 @@ def _cmd_erlang(args: argparse.Namespace) -> int:
         load = OfferedLoad.from_rates(args.lam, args.mu)
     else:
         raise ConfigError("offered load missing: give --a or both --lambda and --mu")
-    if args.n < 0:
-        raise ConfigError(f"--n {args.n} must be >= 0")
     print(f"{erlang_b(load, args.n):.6f}")
     return EXIT_OK
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    topology = config.topology()
-    calls = generate_workload(config.workload_params(), topology)
+    calls = generate_workload(config.workload_params, config.topology)
     _emit(format_workload(calls), config.output)
     return EXIT_OK
 
@@ -495,13 +477,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

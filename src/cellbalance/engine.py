@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .topology import HOME_BSC, BscId, ChannelLedger, NetworkTopology, neighbor_ids
+from .topology import HOME_BSC, BscId, NetworkTopology
 from .traffic import CallRequest, average_arrival_range
 
 DEFAULT_CONTEXT_SWITCH_MS = 0.1
@@ -62,13 +62,15 @@ class LbParams:
     quantum_override_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.context_switch_ms < 0:
-            raise ValueError(f"context_switch_ms = {self.context_switch_ms}, need >= 0")
-        if self.waiting_ms < 0:
-            raise ValueError(f"waiting_ms = {self.waiting_ms}, need >= 0")
-        if self.quantum_override_ms is not None and self.quantum_override_ms <= 0:
+        if not 0 <= self.context_switch_ms < math.inf:
             raise ValueError(
-                f"quantum_override_ms = {self.quantum_override_ms}, need > 0"
+                f"context_switch_ms = {self.context_switch_ms}, need finite and >= 0"
+            )
+        if not 0 <= self.waiting_ms < math.inf:
+            raise ValueError(f"waiting_ms = {self.waiting_ms}, need finite and >= 0")
+        if self.quantum_override_ms is not None and not 0 < self.quantum_override_ms < math.inf:
+            raise ValueError(
+                f"quantum_override_ms = {self.quantum_override_ms}, need finite and > 0"
             )
 
 
@@ -140,10 +142,16 @@ def slices_to_finish(demand_ms: float, quantum_ms: float) -> int:
 
     Subtracts the quantum once per pass until nothing is left, the float
     operations a queued call goes through; ceil(demand / quantum) rounds
-    differently.
+    differently. A quantum too small to change the demand once never
+    changes it, so that call would never finish and is refused.
     """
     if not math.isfinite(demand_ms) or demand_ms <= 0:
         raise ValueError(f"demand {demand_ms} ms, need finite and > 0")
+    if demand_ms - quantum_ms == demand_ms:
+        raise ValueError(
+            f"quantum_ms = {quantum_ms} is too small to reduce a demand of "
+            f"{demand_ms} ms: the call would never finish"
+        )
     slices = 1
     remaining = demand_ms - quantum_ms
     while remaining > 0:
@@ -162,13 +170,12 @@ def _check_sorted(calls: tuple[CallRequest, ...]) -> None:
 
 
 def _admit_home(
-    calls: tuple[CallRequest, ...], ledger: ChannelLedger, waiting_ms: float
+    calls: tuple[CallRequest, ...], home_pool: int, waiting_ms: float
 ) -> tuple[int, float]:
     """Home admission of both systems: the first calls, as many as the home
     pool holds, take home channels. Returns how many did and the system
     clock charged for them (arrival + waiting), summed in arrival order."""
-    home = min(len(calls), ledger.available(HOME_BSC))
-    ledger.assign(HOME_BSC, home)
+    home = min(len(calls), home_pool)
     total = 0.0
     for call in islice(calls, home):
         total += call.arrival_time_ms + waiting_ms
@@ -218,16 +225,15 @@ def _lb_records(
     slice_cost: float,
     handed: list[int],
     targets: np.ndarray,
-    neighbors: list[BscId],
 ) -> list[CallRecord]:
     """Records in arrival order: the first `home` calls accepted at home;
     overflow call i (queue position) needed slices[i] passes, and the j-th
-    handover went to call handed[j] on neighbors[targets[j]]; the rest of
-    the overflow is blocked."""
+    handover went to call handed[j] on neighbor pool targets[j], BSC
+    targets[j] + 1; the rest of the overflow is blocked."""
     overflow = calls[home:]
     serving: list[BscId | None] = [None] * len(overflow)
     for pos, target in zip(handed, targets.tolist()):
-        serving[pos] = neighbors[target]
+        serving[pos] = HOME_BSC + 1 + target
     records = _home_records(calls, home, waiting_ms)
     for call, k, bsc in zip(overflow, slices, serving):
         if bsc is None:
@@ -247,21 +253,38 @@ def _lb_records(
 
 def _report(
     system: str,
-    ledger: ChannelLedger,
     n_calls: int,
-    handed_over: int,
+    pools: list[int],
+    handled: list[int],
+    blocked: int,
     total_execution_time_ms: float,
     quantum_ms: float | None,
     build_records: Callable[[], list[CallRecord]],
 ) -> SimulationReport:
-    accepted_home = ledger.assigned(HOME_BSC)
-    blocked = n_calls - accepted_home - handed_over
+    """The report of a run in which BSC b took handled[b] calls out of its
+    pools[b] channels and `blocked` calls were refused.
+
+    Raises RuntimeError, an internal fault, unless every call is counted
+    once and no pool is over-assigned.
+    """
+    accepted_home = handled[HOME_BSC]
+    handed_over = sum(handled) - accepted_home
+    if (
+        accepted_home + handed_over + blocked != n_calls
+        or blocked < 0
+        or len(handled) != len(pools)
+        or not all(0 <= used <= pool for used, pool in zip(handled, pools))
+    ):
+        raise RuntimeError(
+            f"{system} report breaks conservation: BSCs handled {handled} "
+            f"of pools {pools} and blocked {blocked}, for {n_calls} calls"
+        )
     return SimulationReport(
         system=system,
         accepted_home=accepted_home,
         handed_over=handed_over,
         blocked=blocked,
-        per_bsc_handled={bsc: ledger.assigned(bsc) for bsc in ledger.initial},
+        per_bsc_handled=dict(enumerate(handled)),
         total_execution_time_ms=total_execution_time_ms,
         empirical_blocking=blocked / n_calls if n_calls else 0.0,
         quantum_ms=quantum_ms,
@@ -283,13 +306,13 @@ def simulate_normal(
     """
     calls = tuple(calls)
     _check_sorted(calls)
-    ledger = ChannelLedger.from_topology(topology)
-    home, total = _admit_home(calls, ledger, waiting_ms)
+    pools = [b.free_channels for b in topology.bscs]
+    home, total = _admit_home(calls, pools[HOME_BSC], waiting_ms)
     for call in islice(calls, home, None):
         total += call.arrival_time_ms + waiting_ms
     return _report(
-        NORMAL, ledger, len(calls), 0, total, None,
-        partial(_normal_records, calls, home, waiting_ms),
+        NORMAL, len(calls), pools, [home] + [0] * (len(pools) - 1), len(calls) - home,
+        total, None, partial(_normal_records, calls, home, waiting_ms),
     )
 
 
@@ -326,13 +349,13 @@ def simulate_load_balanced(
         params = LbParams()
     calls = tuple(calls)
     _check_sorted(calls)
-    ledger = ChannelLedger.from_topology(topology)
-    home, total = _admit_home(calls, ledger, params.waiting_ms)
+    pools = [b.free_channels for b in topology.bscs]
+    home, total = _admit_home(calls, pools[HOME_BSC], params.waiting_ms)
     overflow = calls[home:]
     if not overflow:
         return _report(
-            LOAD_BALANCED, ledger, len(calls), 0, total, None,
-            partial(_normal_records, calls, home, params.waiting_ms),
+            LOAD_BALANCED, len(calls), pools, [home] + [0] * (len(pools) - 1), 0,
+            total, None, partial(_normal_records, calls, home, params.waiting_ms),
         )
 
     if params.quantum_override_ms is not None:
@@ -351,20 +374,19 @@ def simulate_load_balanced(
     # sorted() is stable: calls finishing in the same pass keep queue order
     finish_order = sorted(range(len(overflow)), key=slices.__getitem__)
 
-    neighbors = neighbor_ids(topology)
-    capacities = [ledger.available(bsc) for bsc in neighbors]
+    capacities = pools[HOME_BSC + 1:]
     handed = finish_order[: min(len(overflow), sum(capacities))]
     targets = _rotation_targets(capacities, len(handed))
-    for bsc, count in zip(neighbors, np.bincount(targets, minlength=len(neighbors)).tolist()):
-        ledger.assign(bsc, count)
     for pos in handed:
         total += slices[pos] * slice_cost
 
     return _report(
-        LOAD_BALANCED, ledger, len(calls), len(handed), total, quantum,
+        LOAD_BALANCED, len(calls), pools,
+        [home] + np.bincount(targets, minlength=len(capacities)).tolist(),
+        len(overflow) - len(handed), total, quantum,
         partial(
             _lb_records, calls, home, params.waiting_ms,
-            slices, slice_cost, handed, targets, neighbors,
+            slices, slice_cost, handed, targets,
         ),
     )
 

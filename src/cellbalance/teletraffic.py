@@ -5,6 +5,7 @@ factorials, which overflow past ~170 channels; the two are algebraically
 identical and the test suite holds them to 1e-12 of each other.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,16 +29,16 @@ class OfferedLoad:
     mu_per_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.erlangs < 0:
-            raise ValueError(f"offered load = {self.erlangs} erlangs, need >= 0")
+        if not 0 <= self.erlangs < math.inf:
+            raise ValueError(f"offered load = {self.erlangs} erlangs, need finite and >= 0")
 
     @classmethod
     def from_rates(cls, lambda_per_s: float, mu_per_s: float) -> "OfferedLoad":
         """Offered load as arrival rate over departure rate."""
-        if mu_per_s <= 0:
-            raise ValueError(f"mu_per_s = {mu_per_s}, need > 0")
-        if lambda_per_s < 0:
-            raise ValueError(f"lambda_per_s = {lambda_per_s}, need >= 0")
+        if not 0 < mu_per_s < math.inf:
+            raise ValueError(f"mu_per_s = {mu_per_s}, need finite and > 0")
+        if not 0 <= lambda_per_s < math.inf:
+            raise ValueError(f"lambda_per_s = {lambda_per_s}, need finite and >= 0")
         return cls(
             erlangs=lambda_per_s / mu_per_s,
             lambda_per_s=lambda_per_s,

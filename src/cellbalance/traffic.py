@@ -41,10 +41,12 @@ class WorkloadParams:
     def __post_init__(self) -> None:
         if self.n_calls < 0:
             raise ValueError(f"n_calls = {self.n_calls}, need >= 0")
-        if self.arrival_window_ms <= 0:
-            raise ValueError(f"arrival_window_ms = {self.arrival_window_ms}, need > 0")
-        if self.demand_ms <= 0:
-            raise ValueError(f"demand_ms = {self.demand_ms}, need > 0")
+        if not 0 < self.arrival_window_ms < math.inf:
+            raise ValueError(
+                f"arrival_window_ms = {self.arrival_window_ms}, need finite and > 0"
+            )
+        if not 0 < self.demand_ms < math.inf:
+            raise ValueError(f"demand_ms = {self.demand_ms}, need finite and > 0")
 
 
 def generate_workload(

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from cellbalance import engine
 from cellbalance.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     ConfigError,
@@ -13,11 +16,15 @@ from cellbalance.cli import (
 from cellbalance.traffic import WORKLOAD_HEADER
 
 
+def reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
 def run_json(tmp_path, argv, name="report.json"):
     out = tmp_path / name
     code = main(argv + ["--output", str(out)])
     assert code == EXIT_OK
-    return json.loads(out.read_text())
+    return json.loads(out.read_text(), parse_constant=reject_constant)
 
 
 class TestRunCommand:
@@ -102,6 +109,47 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert "n_calls" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["run", "lb", "--quantum", "nan"], "quantum_override_ms"),
+            (["run", "lb", "--quantum", "inf"], "quantum_override_ms"),
+            (["run", "lb", "--context-switch", "nan"], "context_switch_ms"),
+            (["run", "normal", "--waiting", "inf"], "waiting_ms"),
+            (["run", "normal", "--demand", "nan"], "demand_ms"),
+            (["compare", "--window", "nan"], "arrival_window_ms"),
+            (["sweep", "0:100:50", "--waiting", "nan"], "waiting_ms"),
+            (["gen", "--area-km", "nan"], "area_km"),
+            (["gen", "--area-km", "inf"], "area_km"),
+            (["erlang", "--a", "nan", "--n", "2"], "erlangs"),
+            (["erlang", "--lambda", "inf", "--mu", "1", "--n", "2"], "lambda_per_s"),
+            (["erlang", "--lambda", "1", "--mu", "nan", "--n", "2"], "mu_per_s"),
+        ],
+    )
+    def test_nonfinite_value_exit_2(self, capsys, argv, key):
+        """NaN passed every `x <= 0` check: these exited 0 with NaN or
+        Infinity in the report, or exited 1 as internal errors."""
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert key in err
+
+    def test_quantum_too_small_for_demand_exit_2(self, capsys):
+        """1e20 - 1 == 1e20, so the call's demand never shrank and the run
+        never ended."""
+        assert main(["run", "lb", "--demand", "1e20", "--quantum", "1"]) == EXIT_USAGE
+        assert "quantum_ms" in capsys.readouterr().err
+
+    def test_over_assigned_pool_is_internal_error(self, capsys, monkeypatch):
+        """A rotation that sends every handover to one pool breaks the
+        report's conservation check: an internal fault, not a usage error."""
+        monkeypatch.setattr(
+            engine, "_rotation_targets", lambda capacities, count: np.zeros(count, dtype=int)
+        )
+        code = main(["run", "lb", "--bsc-channels", "1,1,1", "--calls", "3"])
+        assert code == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error")
+
 
 class TestCompareCommand:
     def test_default_scenario_deltas(self, tmp_path, capsys):
@@ -169,6 +217,10 @@ class TestSweepCommand:
     def test_descending_comma_levels_exit_2(self):
         assert main(["sweep", "300,100"]) == EXIT_USAGE
 
+    def test_negative_level_exit_2(self, capsys):
+        assert main(["sweep", "--", "-1:5:1"]) == EXIT_USAGE
+        assert "negative" in capsys.readouterr().err
+
 
 class TestParseLevels:
     def test_inclusive_stop(self):
@@ -181,7 +233,7 @@ class TestParseLevels:
         assert parse_levels("1,2,30") == [1, 2, 30]
 
     def test_rejects_malformed(self):
-        for bad in ("1:2", "1:2:3:4", "a:b:c", "x,y", "", "-1:5:1"):
+        for bad in ("1:2", "1:2:3:4", "a:b:c", "x,y", "", "3:1:1", "1:5:0"):
             with pytest.raises(ConfigError):
                 parse_levels(bad)
 
@@ -243,6 +295,14 @@ class TestGenAndReplay:
             name="replay.json",
         )
         assert replay == direct
+
+    def test_replay_reports_file_call_count(self, tmp_path):
+        """The report used to give the config default, 900."""
+        wl = tmp_path / "wl.csv"
+        main(["gen", "--calls", "50", "--output", str(wl)])
+        doc = run_json(tmp_path, ["compare", "--workload", str(wl)])
+        assert doc["normal"]["params"]["n_calls"] == 50
+        assert doc["load_balanced"]["params"]["n_calls"] == 50
 
     def test_broken_workload_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -10,6 +10,7 @@ from cellbalance.engine import (
     CallRecord,
     Disposition,
     LbParams,
+    _report,
     compare_systems,
     compute_quantum,
     simulate_load_balanced,
@@ -91,6 +92,11 @@ class TestSlicesToFinish:
         with pytest.raises(ValueError, match="need finite and > 0"):
             slices_to_finish(demand, 1.0)
 
+    def test_rejects_quantum_that_cannot_reduce_demand(self):
+        with pytest.raises(ValueError, match="never finish"):
+            slices_to_finish(1e20, 1.0)
+        assert slices_to_finish(1e15, 2e12) == 500
+
 
 class TestLbParams:
     def test_defaults(self):
@@ -100,12 +106,26 @@ class TestLbParams:
         assert p.quantum_override_ms is None
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="context_switch_ms"):
-            LbParams(context_switch_ms=-1.0)
-        with pytest.raises(ValueError, match="waiting_ms"):
-            LbParams(waiting_ms=-1.0)
-        with pytest.raises(ValueError, match="quantum_override_ms"):
-            LbParams(quantum_override_ms=0.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="context_switch_ms"):
+                LbParams(context_switch_ms=bad)
+            with pytest.raises(ValueError, match="waiting_ms"):
+                LbParams(waiting_ms=bad)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="quantum_override_ms"):
+                LbParams(quantum_override_ms=bad)
+
+
+class TestReport:
+    def test_rejects_over_assigned_pool(self):
+        with pytest.raises(RuntimeError, match="conservation"):
+            _report(LOAD_BALANCED, 3, [1, 1, 1], [1, 2, 0], 0, 0.0, None, list)
+
+    def test_rejects_uncounted_calls(self):
+        with pytest.raises(RuntimeError, match="conservation"):
+            _report(LOAD_BALANCED, 3, [1, 1, 1], [1, 1, 0], 0, 0.0, None, list)
+        with pytest.raises(RuntimeError, match="conservation"):
+            _report(NORMAL, 3, [4, 1], [4, 0], -1, 0.0, None, list)
 
 
 class TestSimulateNormal:

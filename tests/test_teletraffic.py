@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,14 +31,17 @@ class TestOfferedLoad:
         assert load.mu_per_s == 2.0
 
     def test_rejects_negative_load(self):
-        with pytest.raises(ValueError, match="erlangs"):
-            OfferedLoad(-1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="erlangs"):
+                OfferedLoad(bad)
 
     def test_rejects_bad_rates(self):
-        with pytest.raises(ValueError, match="mu_per_s"):
-            OfferedLoad.from_rates(4.0, 0.0)
-        with pytest.raises(ValueError, match="lambda_per_s"):
-            OfferedLoad.from_rates(-1.0, 2.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="mu_per_s"):
+                OfferedLoad.from_rates(4.0, bad)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda_per_s"):
+                OfferedLoad.from_rates(bad, 2.0)
 
 
 class TestErlangB:

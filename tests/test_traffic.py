@@ -73,10 +73,11 @@ class TestGenerateWorkload:
     def test_params_validation(self):
         with pytest.raises(ValueError, match="n_calls"):
             WorkloadParams(n_calls=-1)
-        with pytest.raises(ValueError, match="arrival_window_ms"):
-            WorkloadParams(n_calls=1, arrival_window_ms=0.0)
-        with pytest.raises(ValueError, match="demand_ms"):
-            WorkloadParams(n_calls=1, demand_ms=0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="arrival_window_ms"):
+                WorkloadParams(n_calls=1, arrival_window_ms=bad)
+            with pytest.raises(ValueError, match="demand_ms"):
+                WorkloadParams(n_calls=1, demand_ms=bad)
 
 
 class TestAverageArrivalRange:
