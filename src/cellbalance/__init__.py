@@ -33,7 +33,7 @@ from .topology import (
     build_topology,
 )
 from .traffic import (
-    CallRequest,
+    Workload,
     WorkloadParams,
     average_arrival_range,
     export_workload,
@@ -48,7 +48,6 @@ __all__ = [
     "BscConfig",
     "BscId",
     "CallRecord",
-    "CallRequest",
     "ComparisonReport",
     "Disposition",
     "LbParams",
@@ -56,6 +55,7 @@ __all__ = [
     "OfferedLoad",
     "SimulationReport",
     "TopologyConfig",
+    "Workload",
     "WorkloadParams",
     "average_arrival_range",
     "blocking_sweep",

@@ -7,6 +7,7 @@ overload notice, handover tallies).
 """
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import dataclass, fields, replace
@@ -36,7 +37,7 @@ from .traffic import (
     DEFAULT_ARRIVAL_WINDOW_MS,
     DEFAULT_DEMAND_MS,
     DEFAULT_SEED,
-    CallRequest,
+    Workload,
     WorkloadParams,
     format_workload,
     generate_workload,
@@ -185,30 +186,40 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _load_calls(config: RunConfig, workload_path: str | None) -> list[CallRequest]:
+def _load_calls(config: RunConfig, workload_path: str | None) -> tuple[Workload, dict]:
+    """The calls to simulate, sorted by arrival, and the report params that
+    say where they came from: the file's digest, or what generated them."""
     if workload_path:
         try:
             calls = import_workload(workload_path)
+            with open(workload_path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
         except (OSError, ValueError) as exc:
             raise ConfigError(f"workload '{workload_path}': {exc}") from exc
-        return sorted(calls, key=lambda c: c.arrival_time_ms)
-    return generate_workload(config.workload_params, config.topology)
+        return calls.sorted_by_arrival(), {"workload_sha256": digest}
+    source = {
+        "seed": config.seed,
+        "arrival_window_ms": config.arrival_window_ms,
+        "demand_ms": config.demand_ms,
+    }
+    return generate_workload(config.workload_params, config.topology), source
 
 
 # --- report serialization ---------------------------------------------------
 
 
-def report_params(config: RunConfig, report: SimulationReport, n_calls: int) -> dict:
-    """The run's parameters; n_calls is the number of calls simulated, which
-    a replayed workload file sets, not the config."""
+def report_params(
+    config: RunConfig, report: SimulationReport, n_calls: int, source: dict
+) -> dict:
+    """The run's parameters; n_calls is the number of calls simulated and
+    `source` where they came from, which a replayed workload file sets, not
+    the config."""
     return {
         "bsc_channels": list(config.bsc_channels),
         "cells_per_bsc": config.cells_per_bsc,
         "area_km": config.area_km,
         "n_calls": n_calls,
-        "seed": config.seed,
-        "arrival_window_ms": config.arrival_window_ms,
-        "demand_ms": config.demand_ms,
+        **source,
         "context_switch_ms": config.context_switch_ms,
         "waiting_ms": config.waiting_ms,
         "quantum_ms": report.quantum_ms,
@@ -311,14 +322,14 @@ def _emit(text: str, output: str | None) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     topology = config.topology
-    calls = _load_calls(config, args.workload)
+    calls, source = _load_calls(config, args.workload)
     if args.system == "normal":
         report = simulate_normal(topology, calls, waiting_ms=config.waiting_ms)
     else:
         report = simulate_load_balanced(topology, calls, config.lb_params)
     print(console_block(report, topology))
     if config.format == "json":
-        params = report_params(config, report, len(calls))
+        params = report_params(config, report, len(calls), source)
         text = json.dumps(report_document(report, params, args.full), indent=2) + "\n"
     else:
         text = records_csv(report)
@@ -329,7 +340,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     topology = config.topology
-    calls = _load_calls(config, args.workload)
+    calls, source = _load_calls(config, args.workload)
     comparison = compare_systems(topology, calls, config.lb_params)
     ns, lb = comparison.normal, comparison.load_balanced
     print(console_block(lb, topology))
@@ -344,7 +355,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"blocking delta = {comparison.blocking_delta_pp:.4f} percentage points")
     print(f"execution time delta = {comparison.execution_time_delta_ms:.4f} ms")
     if config.format == "json":
-        params = report_params(config, lb, len(calls))
+        params = report_params(config, lb, len(calls), source)
         text = json.dumps(comparison_document(comparison, params, args.full), indent=2) + "\n"
     else:
         text = comparison_csv(comparison)

@@ -21,20 +21,20 @@ left, round after round, whatever the calls are.
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cached_property, partial
-from itertools import islice
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
 from .topology import HOME_BSC, BscId, NetworkTopology
-from .traffic import CallRequest, average_arrival_range
+from .traffic import Workload, average_arrival_range, running_sum
 
 DEFAULT_CONTEXT_SWITCH_MS = 0.1
 DEFAULT_WAITING_MS = 3.0
 
 NORMAL = "normal"
 LOAD_BALANCED = "load_balanced"
+
+NO_BSC = -1  # serving BSC of a blocked call in a report's per-call column
 
 
 class Disposition(Enum):
@@ -76,11 +76,12 @@ class LbParams:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Counts and totals of one run.
+    """Counts and totals of one run, and its per-call columns in arrival
+    order: call id, serving BSC (NO_BSC when blocked), execution time and
+    round-robin slices.
 
-    `records` (per-call outcomes in arrival order) is built on first read
-    from what the engine kept, so summaries never pay for it. Equality and
-    repr include the records.
+    `records` (per-call outcomes) is built from the columns on first read,
+    so summaries never pay for it. Equality and repr include the records.
     """
 
     system: str
@@ -90,14 +91,26 @@ class SimulationReport:
     per_bsc_handled: dict[BscId, int]
     total_execution_time_ms: float
     empirical_blocking: float
-    quantum_ms: float | None = None
-    _build_records: Callable[[], list[CallRecord]] = field(
-        default=list, repr=False, compare=False
-    )
+    quantum_ms: float | None
+    call_ids: np.ndarray = field(repr=False, compare=False)
+    serving_bscs: np.ndarray = field(repr=False, compare=False)
+    execution_times_ms: np.ndarray = field(repr=False, compare=False)
+    slices: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def records(self) -> tuple[CallRecord, ...]:
-        return tuple(self._build_records())
+        columns = (self.call_ids, self.serving_bscs, self.execution_times_ms, self.slices)
+        dispositions = {NO_BSC: Disposition.BLOCKED, HOME_BSC: Disposition.ACCEPTED_HOME}
+        return tuple(
+            CallRecord(
+                call_id=call_id,
+                disposition=dispositions.get(bsc, Disposition.HANDED_OVER),
+                serving_bsc=None if bsc == NO_BSC else bsc,
+                execution_time_ms=time_ms,
+                slices_used=k,
+            )
+            for call_id, bsc, time_ms, k in zip(*(column.tolist() for column in columns))
+        )
 
     def _compared(self) -> dict:
         values = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
@@ -142,131 +155,55 @@ def slices_to_finish(demand_ms: float, quantum_ms: float) -> int:
 
     Subtracts the quantum once per pass until nothing is left, the float
     operations a queued call goes through; ceil(demand / quantum) rounds
-    differently. A quantum too small to change the demand once never
-    changes it, so that call would never finish and is refused.
+    differently. The remaining demand never grows, so a pass that leaves it
+    unchanged repeats forever: that call would never finish and is refused.
     """
     if not math.isfinite(demand_ms) or demand_ms <= 0:
         raise ValueError(f"demand {demand_ms} ms, need finite and > 0")
-    if demand_ms - quantum_ms == demand_ms:
-        raise ValueError(
-            f"quantum_ms = {quantum_ms} is too small to reduce a demand of "
-            f"{demand_ms} ms: the call would never finish"
-        )
-    slices = 1
-    remaining = demand_ms - quantum_ms
+    slices = 0
+    remaining = demand_ms
     while remaining > 0:
+        if remaining - quantum_ms == remaining:
+            raise ValueError(
+                f"quantum_ms = {quantum_ms} is too small to reduce a demand of "
+                f"{demand_ms} ms: the call would never finish"
+            )
         remaining -= quantum_ms
         slices += 1
     return slices
 
 
-def _check_sorted(calls: tuple[CallRequest, ...]) -> None:
-    for prev, cur in zip(calls, calls[1:]):
-        if cur.arrival_time_ms < prev.arrival_time_ms:
-            raise ValueError(
-                f"calls not sorted by arrival: call {cur.id} at "
-                f"{cur.arrival_time_ms} ms after call {prev.id} at {prev.arrival_time_ms} ms"
-            )
-
-
-def _admit_home(
-    calls: tuple[CallRequest, ...], home_pool: int, waiting_ms: float
-) -> tuple[int, float]:
-    """Home admission of both systems: the first calls, as many as the home
-    pool holds, take home channels. Returns how many did and the system
-    clock charged for them (arrival + waiting), summed in arrival order."""
-    home = min(len(calls), home_pool)
-    total = 0.0
-    for call in islice(calls, home):
-        total += call.arrival_time_ms + waiting_ms
-    return home, total
-
-
-def _home_records(
-    calls: tuple[CallRequest, ...], home: int, waiting_ms: float
-) -> list[CallRecord]:
-    return [
-        CallRecord(
-            call_id=call.id,
-            disposition=Disposition.ACCEPTED_HOME,
-            serving_bsc=HOME_BSC,
-            execution_time_ms=call.arrival_time_ms + waiting_ms,
-            slices_used=0,
+def _check_sorted(calls: Workload) -> None:
+    arrivals = calls.arrival_ms
+    late = np.flatnonzero(arrivals[1:] < arrivals[:-1])
+    if late.size:
+        prev, cur = late[0], late[0] + 1
+        raise ValueError(
+            f"calls not sorted by arrival: call {calls.ids[cur]} at "
+            f"{arrivals[cur]} ms after call {calls.ids[prev]} at {arrivals[prev]} ms"
         )
-        for call in islice(calls, home)
-    ]
-
-
-def _blocked_record(call_id: int) -> CallRecord:
-    return CallRecord(
-        call_id=call_id,
-        disposition=Disposition.BLOCKED,
-        serving_bsc=None,
-        execution_time_ms=0.0,
-        slices_used=0,
-    )
-
-
-def _normal_records(
-    calls: tuple[CallRequest, ...], home: int, waiting_ms: float
-) -> list[CallRecord]:
-    """Records in arrival order: the first `home` calls accepted at home,
-    the rest blocked."""
-    records = _home_records(calls, home, waiting_ms)
-    records.extend(_blocked_record(call.id) for call in islice(calls, home, None))
-    return records
-
-
-def _lb_records(
-    calls: tuple[CallRequest, ...],
-    home: int,
-    waiting_ms: float,
-    slices: list[int],
-    slice_cost: float,
-    handed: list[int],
-    targets: np.ndarray,
-) -> list[CallRecord]:
-    """Records in arrival order: the first `home` calls accepted at home;
-    overflow call i (queue position) needed slices[i] passes, and the j-th
-    handover went to call handed[j] on neighbor pool targets[j], BSC
-    targets[j] + 1; the rest of the overflow is blocked."""
-    overflow = calls[home:]
-    serving: list[BscId | None] = [None] * len(overflow)
-    for pos, target in zip(handed, targets.tolist()):
-        serving[pos] = HOME_BSC + 1 + target
-    records = _home_records(calls, home, waiting_ms)
-    for call, k, bsc in zip(overflow, slices, serving):
-        if bsc is None:
-            records.append(_blocked_record(call.id))
-        else:
-            records.append(
-                CallRecord(
-                    call_id=call.id,
-                    disposition=Disposition.HANDED_OVER,
-                    serving_bsc=bsc,
-                    execution_time_ms=k * slice_cost,
-                    slices_used=k,
-                )
-            )
-    return records
 
 
 def _report(
     system: str,
-    n_calls: int,
     pools: list[int],
     handled: list[int],
     blocked: int,
     total_execution_time_ms: float,
     quantum_ms: float | None,
-    build_records: Callable[[], list[CallRecord]],
+    call_ids: np.ndarray,
+    serving_bscs: np.ndarray,
+    execution_times_ms: np.ndarray,
+    slices: np.ndarray,
 ) -> SimulationReport:
     """The report of a run in which BSC b took handled[b] calls out of its
-    pools[b] channels and `blocked` calls were refused.
+    pools[b] channels and `blocked` calls were refused; the columns hold
+    each call's outcome in arrival order.
 
     Raises RuntimeError, an internal fault, unless every call is counted
     once and no pool is over-assigned.
     """
+    n_calls = len(call_ids)
     accepted_home = handled[HOME_BSC]
     handed_over = sum(handled) - accepted_home
     if (
@@ -288,13 +225,16 @@ def _report(
         total_execution_time_ms=total_execution_time_ms,
         empirical_blocking=blocked / n_calls if n_calls else 0.0,
         quantum_ms=quantum_ms,
-        _build_records=build_records,
+        call_ids=call_ids,
+        serving_bscs=serving_bscs,
+        execution_times_ms=execution_times_ms,
+        slices=slices,
     )
 
 
 def simulate_normal(
     topology: NetworkTopology,
-    calls: list[CallRequest],
+    calls: Workload,
     waiting_ms: float = DEFAULT_WAITING_MS,
 ) -> SimulationReport:
     """Admission without load balancing: home channels first come, first
@@ -304,15 +244,16 @@ def simulate_normal(
     blocked requests spend that time too before rejection, but their
     records carry zero execution time since they received no service.
     """
-    calls = tuple(calls)
     _check_sorted(calls)
     pools = [b.free_channels for b in topology.bscs]
-    home, total = _admit_home(calls, pools[HOME_BSC], waiting_ms)
-    for call in islice(calls, home, None):
-        total += call.arrival_time_ms + waiting_ms
+    n = len(calls)
+    home = min(n, pools[HOME_BSC])
+    charged = calls.arrival_ms + waiting_ms
+    accepted = np.arange(n) < home
     return _report(
-        NORMAL, len(calls), pools, [home] + [0] * (len(pools) - 1), len(calls) - home,
-        total, None, partial(_normal_records, calls, home, waiting_ms),
+        NORMAL, pools, [home] + [0] * (len(pools) - 1), n - home, running_sum(charged), None,
+        calls.ids, np.where(accepted, HOME_BSC, NO_BSC), np.where(accepted, charged, 0.0),
+        np.zeros(n, dtype=np.int64),
     )
 
 
@@ -332,7 +273,7 @@ def _rotation_targets(capacities: list[int], count: int) -> np.ndarray:
 
 def simulate_load_balanced(
     topology: NetworkTopology,
-    calls: list[CallRequest],
+    calls: Workload,
     params: LbParams | None = None,
 ) -> SimulationReport:
     """Admission with round-robin handover of the overload to neighbor BSCs.
@@ -347,53 +288,45 @@ def simulate_load_balanced(
     """
     if params is None:
         params = LbParams()
-    calls = tuple(calls)
     _check_sorted(calls)
     pools = [b.free_channels for b in topology.bscs]
-    home, total = _admit_home(calls, pools[HOME_BSC], params.waiting_ms)
-    overflow = calls[home:]
-    if not overflow:
-        return _report(
-            LOAD_BALANCED, len(calls), pools, [home] + [0] * (len(pools) - 1), 0,
-            total, None, partial(_normal_records, calls, home, params.waiting_ms),
-        )
-
-    if params.quantum_override_ms is not None:
-        quantum = params.quantum_override_ms
-    else:
-        quantum = compute_quantum(average_arrival_range(overflow), float(len(overflow)))
-    slice_cost = slice_execution_time(quantum, params.context_switch_ms)
-
-    slices_by_demand: dict[float, int] = {}
-    slices = []
-    for call in overflow:
-        k = slices_by_demand.get(call.demand_ms)
-        if k is None:
-            k = slices_by_demand[call.demand_ms] = slices_to_finish(call.demand_ms, quantum)
-        slices.append(k)
-    # sorted() is stable: calls finishing in the same pass keep queue order
-    finish_order = sorted(range(len(overflow)), key=slices.__getitem__)
-
     capacities = pools[HOME_BSC + 1:]
-    handed = finish_order[: min(len(overflow), sum(capacities))]
-    targets = _rotation_targets(capacities, len(handed))
-    for pos in handed:
-        total += slices[pos] * slice_cost
+    n = len(calls)
+    home = min(n, pools[HOME_BSC])
+    serving = np.where(np.arange(n) < home, HOME_BSC, NO_BSC)
+    times = np.where(serving == HOME_BSC, calls.arrival_ms + params.waiting_ms, 0.0)
+    slices = np.zeros(n, dtype=np.int64)
+    handled = [home] + [0] * len(capacities)
+    served = np.zeros(0, dtype=np.int64)  # handed-over calls, in the order they finish
+    quantum = None
+    if home < n:
+        if params.quantum_override_ms is not None:
+            quantum = params.quantum_override_ms
+        else:
+            quantum = compute_quantum(average_arrival_range(calls.arrival_ms[home:]), float(n - home))
+        demands, demand_index = np.unique(calls.demand_ms[home:], return_inverse=True)
+        needed = np.array([slices_to_finish(d, quantum) for d in demands.tolist()], dtype=np.int64)
+        queue_slices = needed[demand_index]
+        # stable: calls finishing in the same pass keep queue order
+        handed = np.argsort(queue_slices, kind="stable")[: sum(capacities)]
+        targets = _rotation_targets(capacities, len(handed))
+        served = home + handed
+        serving[served] = HOME_BSC + 1 + targets
+        slices[served] = queue_slices[handed]
+        times[served] = slices[served] * slice_execution_time(quantum, params.context_switch_ms)
+        handled[HOME_BSC + 1:] = np.bincount(targets, minlength=len(capacities)).tolist()
 
+    # the system clock: home calls in arrival order, then handovers as they finish
+    total = running_sum(times[served], start=running_sum(times[:home]))
     return _report(
-        LOAD_BALANCED, len(calls), pools,
-        [home] + np.bincount(targets, minlength=len(capacities)).tolist(),
-        len(overflow) - len(handed), total, quantum,
-        partial(
-            _lb_records, calls, home, params.waiting_ms,
-            slices, slice_cost, handed, targets,
-        ),
+        LOAD_BALANCED, pools, handled, n - home - len(served), total, quantum,
+        calls.ids, serving, times, slices,
     )
 
 
 def compare_systems(
     topology: NetworkTopology,
-    calls: list[CallRequest],
+    calls: Workload,
     params: LbParams | None = None,
 ) -> ComparisonReport:
     """Run both systems on the identical workload and report the deltas."""

@@ -6,9 +6,8 @@ times, positions) so regenerating with the same params is bit-identical.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -19,16 +18,28 @@ DEFAULT_DEMAND_MS = 0.4
 DEFAULT_SEED = 42
 
 WORKLOAD_HEADER = "id,arrival_ms,x_km,y_km,demand_ms"
+INT64 = np.iinfo(np.int64)
 
 
-@dataclass(frozen=True)
-class CallRequest:
-    """One call arrival: when it happens, where, and how much handover work."""
+@dataclass(frozen=True, eq=False)
+class Workload:
+    """Calls as columns, one row per call, in the workload file's order:
+    id, arrival time, position and handover work."""
 
-    id: int
-    arrival_time_ms: float
-    position: tuple[float, float]
-    demand_ms: float
+    ids: np.ndarray
+    arrival_ms: np.ndarray
+    x_km: np.ndarray
+    y_km: np.ndarray
+    demand_ms: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def sorted_by_arrival(self) -> "Workload":
+        """The same calls by arrival time; calls arriving together keep
+        their order."""
+        order = np.argsort(self.arrival_ms, kind="stable")
+        return Workload(*(getattr(self, f.name)[order] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -49,18 +60,13 @@ class WorkloadParams:
             raise ValueError(f"demand_ms = {self.demand_ms}, need finite and > 0")
 
 
-def generate_workload(
-    params: WorkloadParams, topology: NetworkTopology
-) -> list[CallRequest]:
+def generate_workload(params: WorkloadParams, topology: NetworkTopology) -> Workload:
     """Draw n_calls requests, sorted by arrival time, ids dense from 0.
 
     Pure function of (params, topology): the seed is split into one
     substream per concern, so arrival draws never perturb position draws.
     """
     n = params.n_calls
-    if n == 0:
-        return []
-
     # mask to 64 bits so negative seeds stay valid SeedSequence entropy
     arrival_seq, position_seq = np.random.SeedSequence(params.seed % 2**64).spawn(2)
     arrivals = np.random.default_rng(arrival_seq).uniform(
@@ -71,76 +77,81 @@ def generate_workload(
     )
 
     order = np.argsort(arrivals, kind="stable")
-    return [
-        CallRequest(
-            id=i,
-            arrival_time_ms=float(arrivals[j]),
-            position=(float(positions[j, 0]), float(positions[j, 1])),
-            demand_ms=params.demand_ms,
-        )
-        for i, j in enumerate(order)
-    ]
+    return Workload(
+        ids=np.arange(n, dtype=np.int64),
+        arrival_ms=arrivals[order],
+        x_km=positions[order, 0],
+        y_km=positions[order, 1],
+        demand_ms=np.full(n, params.demand_ms),
+    )
 
 
-def average_arrival_range(calls: list[CallRequest]) -> float:
+def running_sum(values, start: float = 0.0) -> float:
+    """start + values[0] + values[1] + ..., added left to right as a loop
+    adds them.
+
+    np.sum adds pairwise and sum() compensates on Python 3.12+, so either
+    would round differently and make reports depend on the versions used.
+    """
+    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+
+
+def average_arrival_range(arrival_ms: np.ndarray) -> float:
     """Arithmetic mean of the arrival timestamps, in ms.
 
     This is the numerator of the quantum-time formula.
     """
-    if not calls:
+    if not len(arrival_ms):
         raise ValueError("average arrival range undefined on empty workload")
-    return sum(c.arrival_time_ms for c in calls) / len(calls)
+    return running_sum(arrival_ms) / len(arrival_ms)
 
 
-def format_workload(calls: Iterable[CallRequest]) -> str:
+def format_workload(calls: Workload) -> str:
     """Columnar text, one call per line, floats in full round-trip precision."""
+    rows = zip(*(getattr(calls, f.name).tolist() for f in fields(calls)))
     lines = [WORKLOAD_HEADER]
-    for c in calls:
-        lines.append(
-            f"{c.id},{c.arrival_time_ms!r},{c.position[0]!r},"
-            f"{c.position[1]!r},{c.demand_ms!r}"
-        )
+    lines.extend(f"{i},{t!r},{x!r},{y!r},{d!r}" for i, t, x, y, d in rows)
     return "\n".join(lines) + "\n"
 
 
-def export_workload(calls: Iterable[CallRequest], path: str | Path) -> None:
+def export_workload(calls: Workload, path: str | Path) -> None:
     """Write a workload file that import_workload reads back bit-identically."""
     Path(path).write_text(format_workload(calls))
 
 
-def import_workload(path: str | Path) -> list[CallRequest]:
+def import_workload(path: str | Path) -> Workload:
     """Read a workload file written by export_workload.
 
-    Rejects, naming the line, a duplicate call id, a non-finite arrival
-    time and a demand that is not finite and positive.
+    Rejects, naming the line, a call id that is duplicate or outside int64,
+    a non-finite arrival time and a demand that is not finite and positive.
     """
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != WORKLOAD_HEADER:
         raise ValueError(f"{path}: missing workload header '{WORKLOAD_HEADER}'")
-    calls = []
-    ids = set()
+    ids: list[int] = []
+    values: list[tuple[float, ...]] = []
+    seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
         try:
-            call = CallRequest(
-                id=int(fields[0]),
-                arrival_time_ms=float(fields[1]),
-                position=(float(fields[2]), float(fields[3])),
-                demand_ms=float(fields[4]),
-            )
+            call_id = int(parts[0])
+            row = tuple(float(part) for part in parts[1:])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if call.id in ids:
-            raise ValueError(f"{path}:{lineno}: duplicate call id {call.id}")
-        if not math.isfinite(call.arrival_time_ms):
-            raise ValueError(f"{path}:{lineno}: arrival_ms {call.arrival_time_ms} is not finite")
-        if not math.isfinite(call.demand_ms) or call.demand_ms <= 0:
-            raise ValueError(
-                f"{path}:{lineno}: demand_ms {call.demand_ms}, need finite and > 0"
-            )
-        ids.add(call.id)
-        calls.append(call)
-    return calls
+        arrival_ms, _, _, demand_ms = row
+        if call_id in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate call id {call_id}")
+        if not INT64.min <= call_id <= INT64.max:
+            raise ValueError(f"{path}:{lineno}: call id {call_id} is outside int64")
+        if not math.isfinite(arrival_ms):
+            raise ValueError(f"{path}:{lineno}: arrival_ms {arrival_ms} is not finite")
+        if not math.isfinite(demand_ms) or demand_ms <= 0:
+            raise ValueError(f"{path}:{lineno}: demand_ms {demand_ms}, need finite and > 0")
+        seen.add(call_id)
+        ids.append(call_id)
+        values.append(row)
+    columns = np.array(values, dtype=float).reshape(-1, 4).T.copy()
+    return Workload(np.array(ids, dtype=np.int64), *columns)

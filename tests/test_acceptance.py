@@ -8,6 +8,7 @@ execute this file directly for a plain-script report.
 import random
 import sys
 
+from helpers import same_workload, workload_of
 from oracles import erlang_b_direct, oracle_instances, walk_flowchart
 
 from cellbalance.engine import (
@@ -19,7 +20,7 @@ from cellbalance.engine import (
 )
 from cellbalance.teletraffic import OfferedLoad, blocking_sweep, erlang_b
 from cellbalance.topology import TopologyConfig, build_topology
-from cellbalance.traffic import CallRequest, WorkloadParams, generate_workload
+from cellbalance.traffic import WorkloadParams, generate_workload
 
 DEFAULT_TOPO = build_topology(TopologyConfig())
 
@@ -120,10 +121,7 @@ def test_criterion_7_flowchart_walker_oracle():
     mismatches = 0
     for channels, calls, quantum in oracle_instances():
         topology = build_topology(TopologyConfig(bsc_channels=channels))
-        requests = [
-            CallRequest(id=cid, arrival_time_ms=float(cid + 1), position=(0.5, 0.5), demand_ms=d)
-            for cid, d in calls
-        ]
+        requests = workload_of([cid + 1 for cid, _ in calls], [d for _, d in calls])
         report = simulate_load_balanced(
             topology, requests, LbParams(quantum_override_ms=quantum)
         )
@@ -160,7 +158,7 @@ def test_criterion_8_conservation_and_determinism():
         )
         calls = generate_workload(params, topology)
         again = generate_workload(params, topology)
-        if calls != again:
+        if not same_workload(calls, again):
             ok, detail = False, "workload regeneration diverged"
             break
         ns1 = simulate_normal(topology, calls)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -139,6 +140,14 @@ class TestRunCommand:
         never ended."""
         assert main(["run", "lb", "--demand", "1e20", "--quantum", "1"]) == EXIT_USAGE
         assert "quantum_ms" in capsys.readouterr().err
+
+    def test_quantum_that_stalls_mid_demand_exit_2(self, capsys):
+        """Half an ulp passes the first subtraction (2+3u rounds to 2+2u),
+        then every pass ties back to 2+2u: this run used to spin forever."""
+        argv = ["run", "lb", "--demand", "2.0000000000000013",
+                "--quantum", "2.220446049250313e-16", "--calls", "400"]
+        assert main(argv) == EXIT_USAGE
+        assert "never finish" in capsys.readouterr().err
 
     def test_over_assigned_pool_is_internal_error(self, capsys, monkeypatch):
         """A rotation that sends every handover to one pool breaks the
@@ -294,7 +303,25 @@ class TestGenAndReplay:
             ],
             name="replay.json",
         )
+        provenance = ("seed", "arrival_window_ms", "demand_ms")
+        direct_params = {k: v for k, v in direct.pop("params").items() if k not in provenance}
+        replay_params = replay.pop("params")
         assert replay == direct
+        assert replay_params == {
+            **direct_params,
+            "workload_sha256": hashlib.sha256(wl.read_bytes()).hexdigest(),
+        }
+
+    def test_replay_reports_file_digest_not_config(self, tmp_path):
+        """A replay used to report the config's seed 42, window 2000.0 and
+        demand 0.4, none of which the file holds."""
+        wl = tmp_path / "wl.csv"
+        main(["gen", "--calls", "20", "--window", "50", "--demand", "0.9",
+              "--seed", "3", "--output", str(wl)])
+        params = run_json(tmp_path, ["run", "lb", "--workload", str(wl)])["params"]
+        assert params["workload_sha256"] == hashlib.sha256(wl.read_bytes()).hexdigest()
+        assert not {"seed", "arrival_window_ms", "demand_ms"} & set(params)
+        assert params["n_calls"] == 20
 
     def test_replay_reports_file_call_count(self, tmp_path):
         """The report used to give the config default, 900."""
@@ -324,6 +351,13 @@ class TestGenAndReplay:
         code, err, where = self.replay_rows(tmp_path, capsys, ["run", "lb"], rows)
         assert code == EXIT_USAGE
         assert f"{where}3: duplicate call id 0" in err
+
+    @pytest.mark.parametrize("call_id", [2**63, -(2**63) - 1])
+    def test_id_outside_int64_exit_2(self, tmp_path, capsys, call_id):
+        rows = ["0,1.0,0.5,0.5,0.4", f"{call_id},2.0,0.5,0.5,0.4"]
+        code, err, where = self.replay_rows(tmp_path, capsys, ["run", "lb"], rows)
+        assert code == EXIT_USAGE
+        assert f"{where}3: call id {call_id} is outside int64" in err
 
     @pytest.mark.parametrize("arrival", ["nan", "inf", "-inf"])
     def test_nonfinite_arrival_exit_2(self, tmp_path, capsys, arrival):

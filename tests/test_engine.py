@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from helpers import sequential_sum, workload_of
 
 from cellbalance.engine import (
     LOAD_BALANCED,
@@ -19,20 +21,13 @@ from cellbalance.engine import (
     slices_to_finish,
 )
 from cellbalance.topology import TopologyConfig, build_topology
-from cellbalance.traffic import CallRequest, WorkloadParams, generate_workload
+from cellbalance.traffic import WorkloadParams, generate_workload
 
 DEFAULT_TOPO = build_topology(TopologyConfig())
 
 
 def topo(*channels):
     return build_topology(TopologyConfig(bsc_channels=tuple(channels)))
-
-
-def make_calls(arrivals, demand=0.4):
-    return [
-        CallRequest(id=i, arrival_time_ms=float(t), position=(0.5, 0.5), demand_ms=demand)
-        for i, t in enumerate(arrivals)
-    ]
 
 
 def default_workload(n=900, seed=42):
@@ -95,6 +90,10 @@ class TestSlicesToFinish:
     def test_rejects_quantum_that_cannot_reduce_demand(self):
         with pytest.raises(ValueError, match="never finish"):
             slices_to_finish(1e20, 1.0)
+        # half an ulp: the first pass rounds 2+3u down to 2+2u, every later
+        # one ties back to 2+2u
+        with pytest.raises(ValueError, match="never finish"):
+            slices_to_finish(2.0000000000000013, 2.220446049250313e-16)
         assert slices_to_finish(1e15, 2e12) == 500
 
 
@@ -116,16 +115,21 @@ class TestLbParams:
                 LbParams(quantum_override_ms=bad)
 
 
+def columns(n):
+    """Per-call columns of n calls; the checks below read only their length."""
+    return np.arange(n), np.zeros(n, dtype=int), np.zeros(n), np.zeros(n, dtype=int)
+
+
 class TestReport:
     def test_rejects_over_assigned_pool(self):
         with pytest.raises(RuntimeError, match="conservation"):
-            _report(LOAD_BALANCED, 3, [1, 1, 1], [1, 2, 0], 0, 0.0, None, list)
+            _report(LOAD_BALANCED, [1, 1, 1], [1, 2, 0], 0, 0.0, None, *columns(3))
 
     def test_rejects_uncounted_calls(self):
         with pytest.raises(RuntimeError, match="conservation"):
-            _report(LOAD_BALANCED, 3, [1, 1, 1], [1, 1, 0], 0, 0.0, None, list)
+            _report(LOAD_BALANCED, [1, 1, 1], [1, 1, 0], 0, 0.0, None, *columns(3))
         with pytest.raises(RuntimeError, match="conservation"):
-            _report(NORMAL, 3, [4, 1], [4, 0], -1, 0.0, None, list)
+            _report(NORMAL, [4, 1], [4, 0], -1, 0.0, None, *columns(3))
 
 
 class TestSimulateNormal:
@@ -140,27 +144,27 @@ class TestSimulateNormal:
 
     def test_per_call_execution_formula(self):
         """Three calls under ample capacity: time = arrival + waiting."""
-        report = simulate_normal(topo(5, 5), make_calls([1, 2, 4]), waiting_ms=3.0)
+        report = simulate_normal(topo(5, 5), workload_of([1, 2, 4]), waiting_ms=3.0)
         assert [r.execution_time_ms for r in report.records] == [4.0, 5.0, 7.0]
         assert report.total_execution_time_ms == 16.0
 
     def test_total_charges_blocked_calls_too(self):
         """The system clock runs for every examined request, but blocked
         records themselves carry zero execution time."""
-        report = simulate_normal(topo(1, 1), make_calls([1, 2, 4]), waiting_ms=3.0)
+        report = simulate_normal(topo(1, 1), workload_of([1, 2, 4]), waiting_ms=3.0)
         assert report.accepted_home == 1
         assert report.blocked == 2
         assert report.total_execution_time_ms == 16.0
         assert [r.execution_time_ms for r in report.records] == [4.0, 0.0, 0.0]
 
     def test_empty_workload(self):
-        report = simulate_normal(DEFAULT_TOPO, [])
+        report = simulate_normal(DEFAULT_TOPO, workload_of([]))
         assert report.accepted_home == report.handed_over == report.blocked == 0
         assert report.empirical_blocking == 0.0
         assert report.total_execution_time_ms == 0.0
 
     def test_blocked_record_shape(self):
-        report = simulate_normal(topo(0, 1), make_calls([1.0]))
+        report = simulate_normal(topo(0, 1), workload_of([1.0]))
         rec = report.records[0]
         assert rec.disposition is Disposition.BLOCKED
         assert rec.serving_bsc is None
@@ -168,7 +172,7 @@ class TestSimulateNormal:
         assert rec.slices_used == 0
 
     def test_first_come_first_served(self):
-        report = simulate_normal(topo(2, 1), make_calls([1, 2, 3, 4]))
+        report = simulate_normal(topo(2, 1), workload_of([1, 2, 3, 4]))
         dispositions = [r.disposition for r in report.records]
         assert dispositions == [
             Disposition.ACCEPTED_HOME,
@@ -178,14 +182,14 @@ class TestSimulateNormal:
         ]
 
     def test_rejects_unsorted_calls(self):
-        calls = make_calls([5, 1])
+        calls = workload_of([5, 1])
         with pytest.raises(ValueError, match="not sorted"):
             simulate_normal(DEFAULT_TOPO, calls)
 
     def test_total_matches_record_sum_at_scale(self):
         calls = default_workload()
         report = simulate_normal(DEFAULT_TOPO, calls)
-        oracle = math.fsum(c.arrival_time_ms + 3.0 for c in calls)
+        oracle = math.fsum(calls.arrival_ms + 3.0)
         assert report.total_execution_time_ms == pytest.approx(oracle, rel=1e-12)
 
 
@@ -202,21 +206,21 @@ class TestSimulateLoadBalanced:
     def test_default_scenario_quantum_and_times(self):
         calls = default_workload()
         report = simulate_load_balanced(DEFAULT_TOPO, calls)
-        overflow = calls[313:]
-        mean = sum(c.arrival_time_ms for c in overflow) / len(overflow)
+        overflow = calls.arrival_ms[313:].tolist()
+        mean = sequential_sum(overflow) / len(overflow)
         assert report.quantum_ms == mean / 587.0
         cost = report.quantum_ms + 0.1
         for rec in report.records[313:]:
             assert rec.slices_used == 1
             assert rec.execution_time_ms == cost
-        oracle = math.fsum(c.arrival_time_ms + 3.0 for c in calls[:313]) + 587 * cost
+        oracle = math.fsum(calls.arrival_ms[:313] + 3.0) + 587 * cost
         assert report.total_execution_time_ms == pytest.approx(oracle, rel=1e-12)
 
     def test_requeue_path_hand_trace(self):
         """Four calls against one home and two single-channel neighbors,
         demand 1.2 quanta: each queued call needs two passes, two calls
         hand over (one per neighbor), the last is blocked."""
-        calls = make_calls([1, 2, 3, 4], demand=1.2)
+        calls = workload_of([1, 2, 3, 4], 1.2)
         report = simulate_load_balanced(
             topo(1, 1, 1), calls, LbParams(quantum_override_ms=1.0)
         )
@@ -235,7 +239,7 @@ class TestSimulateLoadBalanced:
         assert recs[3].execution_time_ms == 0.0
 
     def test_alternation_over_neighbors(self):
-        calls = make_calls(range(1, 8), demand=1.0)
+        calls = workload_of(range(1, 8), 1.0)
         report = simulate_load_balanced(
             topo(1, 3, 3), calls, LbParams(quantum_override_ms=1.0)
         )
@@ -243,7 +247,7 @@ class TestSimulateLoadBalanced:
         assert targets == [1, 2, 1, 2, 1, 2]
 
     def test_rotation_skips_exhausted_pool(self):
-        calls = make_calls(range(1, 6), demand=1.0)
+        calls = workload_of(range(1, 6), 1.0)
         report = simulate_load_balanced(
             topo(0, 1, 4), calls, LbParams(quantum_override_ms=1.0)
         )
@@ -251,7 +255,7 @@ class TestSimulateLoadBalanced:
         assert targets == [1, 2, 2, 2, 2]
 
     def test_zero_capacity_neighbors_block_everything(self):
-        calls = make_calls([1, 2, 3])
+        calls = workload_of([1, 2, 3])
         report = simulate_load_balanced(topo(1, 0, 0), calls)
         assert report.accepted_home == 1
         assert report.handed_over == 0
@@ -260,7 +264,7 @@ class TestSimulateLoadBalanced:
         assert report.empirical_blocking == ns.empirical_blocking
 
     def test_no_overflow_matches_normal(self):
-        calls = make_calls([1, 2, 3])
+        calls = workload_of([1, 2, 3])
         lb = simulate_load_balanced(topo(5, 1), calls)
         ns = simulate_normal(topo(5, 1), calls)
         assert lb.quantum_ms is None
@@ -271,28 +275,28 @@ class TestSimulateLoadBalanced:
         ]
 
     def test_empty_workload(self):
-        report = simulate_load_balanced(DEFAULT_TOPO, [])
+        report = simulate_load_balanced(DEFAULT_TOPO, workload_of([]))
         assert report.records == ()
         assert report.empirical_blocking == 0.0
         assert report.quantum_ms is None
 
     def test_quantum_override_respected(self):
-        calls = make_calls([1, 2, 3], demand=0.4)
+        calls = workload_of([1, 2, 3], 0.4)
         report = simulate_load_balanced(
             topo(1, 2), calls, LbParams(quantum_override_ms=2.0)
         )
         assert report.quantum_ms == 2.0
 
     def test_records_follow_arrival_order(self):
-        calls = make_calls(range(1, 9), demand=1.2)
+        calls = workload_of(range(1, 9), 1.2)
         report = simulate_load_balanced(
             topo(2, 2, 2), calls, LbParams(quantum_override_ms=1.0)
         )
-        assert [r.call_id for r in report.records] == [c.id for c in calls]
+        assert [r.call_id for r in report.records] == calls.ids.tolist()
 
     def test_rejects_unsorted_calls(self):
         with pytest.raises(ValueError, match="not sorted"):
-            simulate_load_balanced(DEFAULT_TOPO, make_calls([5, 1]))
+            simulate_load_balanced(DEFAULT_TOPO, workload_of([5, 1]))
 
 
 class TestCompareSystems:
@@ -306,14 +310,14 @@ class TestCompareSystems:
         assert comparison.per_bsc_handled == lb.per_bsc_handled
 
     def test_underload_is_a_wash(self):
-        calls = make_calls([1, 2, 3])
+        calls = workload_of([1, 2, 3])
         comparison = compare_systems(topo(10, 10), calls)
         assert comparison.blocking_delta_pp == 0.0
         assert comparison.execution_time_delta_ms == 0.0
         assert comparison.load_balanced.handed_over == 0
 
     def test_zero_capacity_neighbors_zero_delta(self):
-        calls = make_calls([1, 2, 3, 4])
+        calls = workload_of([1, 2, 3, 4])
         comparison = compare_systems(topo(2, 0), calls)
         assert comparison.blocking_delta_pp == 0.0
         assert comparison.load_balanced.handed_over == 0
@@ -348,7 +352,7 @@ def lb_instances(draw):
 def test_conservation_and_capacity(instance):
     channels, arrivals, demand, quantum = instance
     topology = topo(*channels)
-    calls = make_calls(arrivals, demand=demand)
+    calls = workload_of(arrivals, demand)
     params = LbParams(quantum_override_ms=quantum)
     for report in (simulate_normal(topology, calls), simulate_load_balanced(topology, calls, params)):
         n = len(calls)
@@ -363,7 +367,7 @@ def test_conservation_and_capacity(instance):
 def test_overflow_identity_and_dominance(instance):
     channels, arrivals, demand, quantum = instance
     topology = topo(*channels)
-    calls = make_calls(arrivals, demand=demand)
+    calls = workload_of(arrivals, demand)
     ns = simulate_normal(topology, calls)
     lb = simulate_load_balanced(topology, calls, LbParams(quantum_override_ms=quantum))
     overflow = max(0, len(calls) - channels[0])
@@ -377,7 +381,7 @@ def test_overflow_identity_and_dominance(instance):
 def test_slice_accounting_exact(instance):
     channels, arrivals, demand, quantum = instance
     topology = topo(*channels)
-    calls = make_calls(arrivals, demand=demand)
+    calls = workload_of(arrivals, demand)
     params = LbParams(quantum_override_ms=quantum)
     report = simulate_load_balanced(topology, calls, params)
     expected_slices = math.ceil(Fraction(demand) / Fraction(quantum))
@@ -395,7 +399,7 @@ def test_slice_accounting_exact(instance):
 def test_determinism_repeated_runs(instance):
     channels, arrivals, demand, quantum = instance
     topology = topo(*channels)
-    calls = make_calls(arrivals, demand=demand)
+    calls = workload_of(arrivals, demand)
     params = LbParams(quantum_override_ms=quantum)
     first = simulate_load_balanced(topology, calls, params)
     second = simulate_load_balanced(topology, calls, params)
@@ -416,7 +420,7 @@ def test_fairness_under_ample_capacity(home, n_neighbors, n_calls, quantum, mult
     spreads handled counts within one of each other."""
     channels = (home,) + (n_calls,) * n_neighbors
     topology = topo(*channels)
-    calls = make_calls(range(1, n_calls + 1), demand=multiplier * quantum)
+    calls = workload_of(range(1, n_calls + 1), multiplier * quantum)
     report = simulate_load_balanced(
         topology, calls, LbParams(quantum_override_ms=quantum)
     )
@@ -431,7 +435,7 @@ def test_computed_quantum_instances(instance):
     """Same invariants with the quantum derived from the queue itself."""
     channels, arrivals, demand, _ = instance
     topology = topo(*channels)
-    calls = make_calls(arrivals, demand=demand)
+    calls = workload_of(arrivals, demand)
     report = simulate_load_balanced(topology, calls)
     n = len(calls)
     assert report.accepted_home + report.handed_over + report.blocked == n

@@ -5,19 +5,17 @@ instance both must report identical dispositions, serving BSCs, and slice
 counts.
 """
 
+from helpers import sequential_sum, workload_of
 from hypothesis import example, given, settings, strategies as st
 from oracles import oracle_instances, walk_flowchart
 
 from cellbalance.engine import LbParams, simulate_load_balanced
 from cellbalance.topology import TopologyConfig, build_topology
-from cellbalance.traffic import CallRequest
 
 
 def as_requests(calls):
-    return [
-        CallRequest(id=cid, arrival_time_ms=float(cid + 1), position=(0.5, 0.5), demand_ms=demand)
-        for cid, demand in calls
-    ]
+    """Call ids 0..n-1 arriving at 1..n ms, as oracle_instances numbers them."""
+    return workload_of([cid + 1 for cid, _ in calls], [demand for _, demand in calls])
 
 
 def engine_outcomes(report):
@@ -55,21 +53,11 @@ def test_engine_matches_walker_with_computed_quantum():
                 channels = (home, n1, n2)
                 topology = build_topology(TopologyConfig(bsc_channels=channels))
                 for n in (4, 8, 12):
-                    requests = [
-                        CallRequest(
-                            id=i,
-                            arrival_time_ms=float(i + 1),
-                            position=(0.5, 0.5),
-                            demand_ms=0.4,
-                        )
-                        for i in range(n)
-                    ]
-                    queued = [c.arrival_time_ms for c in requests[home:]]
-                    quantum = (sum(queued) / len(queued)) / len(queued)
-                    report = simulate_load_balanced(topology, requests)
-                    expected = walker_outcomes(
-                        channels, [(c.id, c.demand_ms) for c in requests], quantum
-                    )
+                    calls = [(i, 0.4) for i in range(n)]
+                    queued = [float(i + 1) for i in range(home, n)]
+                    quantum = (sequential_sum(queued) / len(queued)) / len(queued)
+                    report = simulate_load_balanced(topology, as_requests(calls))
+                    expected = walker_outcomes(channels, calls, quantum)
                     assert engine_outcomes(report) == expected
                     checked += 1
     assert checked == 81
@@ -99,10 +87,7 @@ def float_instances(draw):
 @settings(max_examples=300, deadline=None)
 def test_engine_matches_walker_on_float_demands(instance):
     channels, arrivals, demands, override = instance
-    requests = [
-        CallRequest(id=i, arrival_time_ms=t, position=(0.5, 0.5), demand_ms=d)
-        for i, (t, d) in enumerate(zip(arrivals, demands))
-    ]
+    requests = workload_of(arrivals, demands)
     params = LbParams(quantum_override_ms=override)
     report = simulate_load_balanced(
         build_topology(TopologyConfig(bsc_channels=channels)), requests, params
@@ -111,7 +96,7 @@ def test_engine_matches_walker_on_float_demands(instance):
     queued = arrivals[home:]
     quantum = override
     if quantum is None and queued:
-        quantum = (sum(queued) / len(queued)) / len(queued)
+        quantum = (sequential_sum(queued) / len(queued)) / len(queued)
     assert report.quantum_ms == (quantum if queued else None)
 
     expected, handover_order = walk_flowchart(

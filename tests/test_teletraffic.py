@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import workload_of
 from oracles import erlang_b_direct
 
 from cellbalance.engine import LbParams, simulate_normal
@@ -15,7 +16,7 @@ from cellbalance.teletraffic import (
     format_blocking_csv,
 )
 from cellbalance.topology import TopologyConfig, build_topology
-from cellbalance.traffic import CallRequest, WorkloadParams, generate_workload
+from cellbalance.traffic import WorkloadParams, generate_workload
 
 DEFAULT_TOPO = build_topology(TopologyConfig())
 
@@ -91,15 +92,12 @@ class TestEmpiricalBlocking:
         assert report.empirical_blocking == 587 / 900
 
     def test_empty_run(self):
-        report = simulate_normal(DEFAULT_TOPO, [])
+        report = simulate_normal(DEFAULT_TOPO, workload_of([]))
         assert report.empirical_blocking == 0.0
 
     def test_total_starvation(self):
         topo = build_topology(TopologyConfig(bsc_channels=(0, 0)))
-        calls = [
-            CallRequest(id=i, arrival_time_ms=float(i), position=(0.5, 0.5), demand_ms=0.4)
-            for i in range(5)
-        ]
+        calls = workload_of(range(5))
         assert simulate_normal(topo, calls).empirical_blocking == 1.0
 
 

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from helpers import same_workload, sequential_sum, workload_of
 from hypothesis import given, settings, strategies as st
 
 from cellbalance.topology import TopologyConfig, build_topology
@@ -8,13 +10,13 @@ from cellbalance.traffic import (
     DEFAULT_ARRIVAL_WINDOW_MS,
     DEFAULT_DEMAND_MS,
     WORKLOAD_HEADER,
-    CallRequest,
     WorkloadParams,
     average_arrival_range,
     export_workload,
     format_workload,
     generate_workload,
     import_workload,
+    running_sum,
 )
 
 TOPO = build_topology(TopologyConfig())
@@ -24,40 +26,39 @@ class TestGenerateWorkload:
     def test_default_scenario_shape(self):
         calls = generate_workload(WorkloadParams(n_calls=900), TOPO)
         assert len(calls) == 900
-        assert [c.id for c in calls] == list(range(900))
-        assert all(0.0 <= c.arrival_time_ms < DEFAULT_ARRIVAL_WINDOW_MS for c in calls)
-        assert all(c.demand_ms == DEFAULT_DEMAND_MS for c in calls)
-        for c in calls:
-            x, y = c.position
+        assert calls.ids.tolist() == list(range(900))
+        assert all(0.0 <= t < DEFAULT_ARRIVAL_WINDOW_MS for t in calls.arrival_ms)
+        assert all(d == DEFAULT_DEMAND_MS for d in calls.demand_ms)
+        for x, y in zip(calls.x_km, calls.y_km):
             assert 0.0 <= x < TOPO.area_km
             assert 0.0 <= y < TOPO.area_km
 
     def test_sorted_by_arrival(self):
         calls = generate_workload(WorkloadParams(n_calls=900), TOPO)
-        arrivals = [c.arrival_time_ms for c in calls]
+        arrivals = calls.arrival_ms.tolist()
         assert arrivals == sorted(arrivals)
 
     def test_same_seed_bit_identical(self):
         a = generate_workload(WorkloadParams(n_calls=250, seed=7), TOPO)
         b = generate_workload(WorkloadParams(n_calls=250, seed=7), TOPO)
-        assert a == b
+        assert same_workload(a, b)
 
     def test_different_seed_differs(self):
         a = generate_workload(WorkloadParams(n_calls=50, seed=1), TOPO)
         b = generate_workload(WorkloadParams(n_calls=50, seed=2), TOPO)
-        assert [c.arrival_time_ms for c in a] != [c.arrival_time_ms for c in b]
+        assert a.arrival_ms.tolist() != b.arrival_ms.tolist()
 
     def test_negative_seed_accepted(self):
         calls = generate_workload(WorkloadParams(n_calls=10, seed=-3), TOPO)
         assert len(calls) == 10
 
     def test_zero_calls(self):
-        assert generate_workload(WorkloadParams(n_calls=0), TOPO) == []
+        assert same_workload(generate_workload(WorkloadParams(n_calls=0), TOPO), workload_of([]))
 
     def test_arrival_mean_near_window_center(self):
         """Uniform sanity check: 10k draws put the mean within 5% of w/2."""
         calls = generate_workload(WorkloadParams(n_calls=10_000, seed=11), TOPO)
-        mean = sum(c.arrival_time_ms for c in calls) / len(calls)
+        mean = math.fsum(calls.arrival_ms) / len(calls)
         center = DEFAULT_ARRIVAL_WINDOW_MS / 2
         assert abs(mean - center) < 0.05 * center
 
@@ -65,8 +66,8 @@ class TestGenerateWorkload:
         calls = generate_workload(WorkloadParams(n_calls=10_000, seed=11), TOPO)
         half = TOPO.area_km / 2
         counts = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
-        for c in calls:
-            counts[(c.position[0] >= half, c.position[1] >= half)] += 1
+        for x, y in zip(calls.x_km, calls.y_km):
+            counts[(bool(x >= half), bool(y >= half))] += 1
         for quadrant in counts.values():
             assert 0.20 <= quadrant / len(calls) <= 0.30
 
@@ -82,20 +83,30 @@ class TestGenerateWorkload:
 
 class TestAverageArrivalRange:
     def test_exact_small_example(self):
-        calls = [
-            CallRequest(id=i, arrival_time_ms=t, position=(0.0, 0.0), demand_ms=0.4)
-            for i, t in enumerate([1.0, 2.0, 3.0, 4.0])
-        ]
-        assert average_arrival_range(calls) == 2.5
+        assert average_arrival_range(np.array([1.0, 2.0, 3.0, 4.0])) == 2.5
 
     def test_matches_fsum_mean(self):
         calls = generate_workload(WorkloadParams(n_calls=900), TOPO)
-        oracle = math.fsum(c.arrival_time_ms for c in calls) / len(calls)
-        assert average_arrival_range(calls) == pytest.approx(oracle, rel=1e-12)
+        oracle = math.fsum(calls.arrival_ms) / len(calls)
+        assert average_arrival_range(calls.arrival_ms) == pytest.approx(oracle, rel=1e-12)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="empty workload"):
-            average_arrival_range([])
+            average_arrival_range(np.array([]))
+
+    def test_adds_left_to_right(self):
+        """Pairwise or compensated summation (np.sum; sum() on Python 3.12+)
+        gives 1.0 here, so the quantum would depend on the Python version."""
+        assert running_sum([1e16, 1.0, -1e16]) == 0.0
+        assert average_arrival_range([1e16, 1.0, -1e16]) == 0.0
+
+
+@given(
+    values=st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=50),
+    start=st.floats(min_value=-1e6, max_value=1e6),
+)
+def test_running_sum_matches_loop(values, start):
+    assert running_sum(values, start) == sequential_sum([start] + values)
 
 
 class TestWorkloadFiles:
@@ -103,7 +114,7 @@ class TestWorkloadFiles:
         calls = generate_workload(WorkloadParams(n_calls=64, seed=5), TOPO)
         path = tmp_path / "calls.csv"
         export_workload(calls, path)
-        assert import_workload(path) == calls
+        assert same_workload(import_workload(path), calls)
 
     def test_format_header_and_width(self):
         calls = generate_workload(WorkloadParams(n_calls=3, seed=5), TOPO)
@@ -131,10 +142,20 @@ class TestWorkloadFiles:
         with pytest.raises(ValueError, match=":2:"):
             import_workload(path)
 
+    def test_sorted_by_arrival_keeps_ties_in_file_order(self, tmp_path):
+        path = tmp_path / "calls.csv"
+        rows = ["7,3.0,0.1,0.1,0.4", "2,1.0,0.2,0.2,0.5", "9,3.0,0.3,0.3,0.6", "4,1.0,0.4,0.4,0.7"]
+        path.write_text(WORKLOAD_HEADER + "\n" + "\n".join(rows) + "\n")
+        calls = import_workload(path).sorted_by_arrival()
+        assert calls.ids.tolist() == [2, 4, 7, 9]
+        assert calls.arrival_ms.tolist() == [1.0, 1.0, 3.0, 3.0]
+        assert calls.x_km.tolist() == [0.2, 0.4, 0.1, 0.3]
+        assert calls.demand_ms.tolist() == [0.5, 0.7, 0.4, 0.6]
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=1, max_value=40), seed=st.integers(0, 2**32 - 1))
     def test_round_trip_any_seed(self, tmp_path_factory, n, seed):
         calls = generate_workload(WorkloadParams(n_calls=n, seed=seed), TOPO)
         path = tmp_path_factory.mktemp("wl") / "calls.csv"
         export_workload(calls, path)
-        assert import_workload(path) == calls
+        assert same_workload(import_workload(path), calls)
