@@ -7,19 +7,23 @@ overload notice, handover tallies).
 """
 
 import argparse
-import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+
+import numpy as np
 
 from .engine import (
     DEFAULT_CONTEXT_SWITCH_MS,
     DEFAULT_WAITING_MS,
+    NO_BSC,
     ComparisonReport,
     Disposition,
     LbParams,
     SimulationReport,
+    UndefinedQuantum,
     compare_systems,
     simulate_load_balanced,
     simulate_normal,
@@ -29,6 +33,7 @@ from .topology import (
     DEFAULT_AREA_KM,
     DEFAULT_BSC_CHANNELS,
     DEFAULT_CELLS_PER_BSC,
+    HOME_BSC,
     NetworkTopology,
     TopologyConfig,
     build_topology,
@@ -191,9 +196,7 @@ def _load_calls(config: RunConfig, workload_path: str | None) -> tuple[Workload,
     say where they came from: the file's digest, or what generated them."""
     if workload_path:
         try:
-            calls = import_workload(workload_path)
-            with open(workload_path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
+            calls, digest = import_workload(workload_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"workload '{workload_path}': {exc}") from exc
         return calls.sorted_by_arrival(), {"workload_sha256": digest}
@@ -227,6 +230,8 @@ def report_params(
 
 
 def report_document(report: SimulationReport, params: dict, full: bool = False) -> dict:
+    """The report's summary. With `full`, its last key, "records", holds the
+    report itself, which write_json renders as the per-call records."""
     doc = {
         "system": report.system,
         "params": params,
@@ -240,27 +245,8 @@ def report_document(report: SimulationReport, params: dict, full: bool = False) 
         "empirical_blocking": report.empirical_blocking,
     }
     if full:
-        doc["records"] = [
-            {
-                "call_id": r.call_id,
-                "disposition": r.disposition.value,
-                "serving_bsc": r.serving_bsc,
-                "execution_time_ms": r.execution_time_ms,
-                "slices_used": r.slices_used,
-            }
-            for r in report.records
-        ]
+        doc["records"] = report
     return doc
-
-
-def records_csv(report: SimulationReport) -> str:
-    lines = ["call_id,disposition,serving_bsc,execution_time_ms,slices_used"]
-    for r in report.records:
-        bsc = "" if r.serving_bsc is None else str(r.serving_bsc)
-        lines.append(
-            f"{r.call_id},{r.disposition.value},{bsc},{r.execution_time_ms!r},{r.slices_used}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def comparison_document(comparison: ComparisonReport, params: dict, full: bool) -> dict:
@@ -272,6 +258,83 @@ def comparison_document(comparison: ComparisonReport, params: dict, full: bool) 
             "execution_time_delta_ms": comparison.execution_time_delta_ms,
         },
     }
+
+
+def _holds_report(value) -> bool:
+    return isinstance(value, SimulationReport) or (
+        isinstance(value, dict) and any(map(_holds_report, value.values()))
+    )
+
+
+def write_json(write, value, depth: int = 0) -> None:
+    """Write json.dumps(value, indent=2) as it reads `depth` levels deep in
+    a document. A SimulationReport in `value` stands for its per-call
+    records array: only the dicts that hold one are written key by key,
+    and the records are rendered from the report's columns."""
+    pad = "\n" + "  " * depth
+    if isinstance(value, SimulationReport):
+        _write_json_records(write, value, pad)
+    elif _holds_report(value):
+        for i, (key, item) in enumerate(value.items()):
+            write(("," if i else "{") + pad + "  " + json.dumps(key) + ": ")
+            write_json(write, item, depth + 1)
+        write(pad + "}")
+    else:
+        write(json.dumps(value, indent=2).replace("\n", pad))
+
+
+CHUNK_CALLS = 4096  # calls rendered per write: bounds the text held at once
+
+
+def _record_chunks(report: SimulationReport, outcome):
+    """The per-call columns, CHUNK_CALLS calls at a time, as four lists: call
+    id, outcome, execution time and slices. A call's outcome is its
+    disposition and serving BSC fields, `outcome(disposition, serving BSC
+    or None)`, rendered once per serving BSC."""
+    dispositions = {NO_BSC: Disposition.BLOCKED, HOME_BSC: Disposition.ACCEPTED_HOME}
+    outcomes = {
+        bsc: outcome(
+            dispositions.get(bsc, Disposition.HANDED_OVER).value, None if bsc == NO_BSC else bsc
+        )
+        for bsc in np.unique(report.serving_bscs).tolist()
+    }
+    for start in range(0, len(report.call_ids), CHUNK_CALLS):
+        part = slice(start, start + CHUNK_CALLS)
+        yield (
+            report.call_ids[part].tolist(),
+            list(map(outcomes.__getitem__, report.serving_bscs[part].tolist())),
+            report.execution_times_ms[part].tolist(),
+            report.slices[part].tolist(),
+        )
+
+
+def _write_json_records(write, report: SimulationReport, pad: str) -> None:
+    def outcome(disposition: str, bsc: int | None) -> str:
+        return f'"{disposition}",{pad}    "serving_bsc": {"null" if bsc is None else bsc}'
+
+    # a float's str is its repr, as json writes it; json writes a non-finite
+    # one as Infinity or NaN, str as inf or nan
+    record = (
+        f'{pad}  {{{pad}    "call_id": %d,{pad}    "disposition": %s,'
+        f'{pad}    "execution_time_ms": %s,{pad}    "slices_used": %d{pad}  }}'
+    )
+    finite = bool(np.isfinite(report.execution_times_ms).all())
+    opening = "["
+    for ids, outcomes, times, slices in _record_chunks(report, outcome):
+        if not finite:
+            times = list(map(json.dumps, times))
+        write(opening + ",".join(map(record.__mod__, zip(ids, outcomes, times, slices))))
+        opening = ","
+    write("[]" if opening == "[" else pad + "]")
+
+
+def write_records_csv(write, report: SimulationReport) -> None:
+    def outcome(disposition: str, bsc: int | None) -> str:
+        return f"{disposition},{'' if bsc is None else bsc}"
+
+    write("call_id,disposition,serving_bsc,execution_time_ms,slices_used\n")
+    for chunk in _record_chunks(report, outcome):
+        write("".join(map("%d,%s,%r,%d\n".__mod__, zip(*chunk))))
 
 
 def comparison_csv(comparison: ComparisonReport) -> str:
@@ -308,12 +371,28 @@ def console_block(report: SimulationReport, topology: NetworkTopology) -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+@contextmanager
+def _output(path: str | None):
+    """A write function for the document: into `path`, or onto stdout."""
+    if not path:
+        yield sys.stdout.write
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        with open(path, "w") as fh:
+            yield fh.write
+
+
+@contextmanager
+def _quantum_named(workload_path: str | None):
+    """Says which calls left the quantum undefined, and how to set one."""
+    try:
+        yield
+    except UndefinedQuantum as exc:
+        source = f"workload '{workload_path}'" if workload_path else "the generated workload"
+        raise ConfigError(
+            f"{source}: the overflow calls' mean arrival is {exc.avg_arrival_range_ms} ms, "
+            "so the round-robin quantum (mean arrival / overflow calls) is undefined; "
+            "set one with --quantum"
+        ) from exc
 
 
 # --- subcommands ------------------------------------------------------------
@@ -326,14 +405,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.system == "normal":
         report = simulate_normal(topology, calls, waiting_ms=config.waiting_ms)
     else:
-        report = simulate_load_balanced(topology, calls, config.lb_params)
+        with _quantum_named(args.workload):
+            report = simulate_load_balanced(topology, calls, config.lb_params)
     print(console_block(report, topology))
-    if config.format == "json":
-        params = report_params(config, report, len(calls), source)
-        text = json.dumps(report_document(report, params, args.full), indent=2) + "\n"
-    else:
-        text = records_csv(report)
-    _emit(text, config.output)
+    with _output(config.output) as write:
+        if config.format == "json":
+            params = report_params(config, report, len(calls), source)
+            write_json(write, report_document(report, params, args.full))
+            write("\n")
+        else:
+            write_records_csv(write, report)
     return EXIT_OK
 
 
@@ -341,7 +422,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     topology = config.topology
     calls, source = _load_calls(config, args.workload)
-    comparison = compare_systems(topology, calls, config.lb_params)
+    with _quantum_named(args.workload):
+        comparison = compare_systems(topology, calls, config.lb_params)
     ns, lb = comparison.normal, comparison.load_balanced
     print(console_block(lb, topology))
     print(
@@ -354,12 +436,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     print(f"blocking delta = {comparison.blocking_delta_pp:.4f} percentage points")
     print(f"execution time delta = {comparison.execution_time_delta_ms:.4f} ms")
-    if config.format == "json":
-        params = report_params(config, lb, len(calls), source)
-        text = json.dumps(comparison_document(comparison, params, args.full), indent=2) + "\n"
-    else:
-        text = comparison_csv(comparison)
-    _emit(text, config.output)
+    with _output(config.output) as write:
+        if config.format == "json":
+            params = report_params(config, lb, len(calls), source)
+            write_json(write, comparison_document(comparison, params, args.full))
+            write("\n")
+        else:
+            write(comparison_csv(comparison))
     return EXIT_OK
 
 
@@ -400,7 +483,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         arrival_window_ms=config.arrival_window_ms,
         demand_ms=config.demand_ms,
     )
-    _emit(format_blocking_csv(points), config.output)
+    with _output(config.output) as write:
+        write(format_blocking_csv(points))
     return EXIT_OK
 
 
@@ -420,7 +504,8 @@ def _cmd_erlang(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     calls = generate_workload(config.workload_params, config.topology)
-    _emit(format_workload(calls), config.output)
+    with _output(config.output) as write:
+        write(format_workload(calls))
     return EXIT_OK
 
 

@@ -135,11 +135,20 @@ class ComparisonReport:
     per_bsc_handled: dict[BscId, int]
 
 
+class UndefinedQuantum(ValueError):
+    """The queued calls' mean arrival time is not above 0 ms, so the
+    quantum formula gives no quantum: one has to be set."""
+
+    def __init__(self, avg_arrival_range_ms: float):
+        super().__init__(f"avg_arrival_range_ms = {avg_arrival_range_ms}, need > 0")
+        self.avg_arrival_range_ms = avg_arrival_range_ms
+
+
 def compute_quantum(avg_arrival_range_ms: float, ready_queue_size: float) -> float:
     """Optimum round-robin quantum: mean arrival time of the queued calls
     divided by the ready-queue size."""
     if avg_arrival_range_ms <= 0:
-        raise ValueError(f"avg_arrival_range_ms = {avg_arrival_range_ms}, need > 0")
+        raise UndefinedQuantum(avg_arrival_range_ms)
     if ready_queue_size <= 0:
         raise ValueError(f"ready_queue_size = {ready_queue_size}, need > 0")
     return avg_arrival_range_ms / ready_queue_size

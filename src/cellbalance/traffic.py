@@ -5,6 +5,7 @@ simulation square. One seed drives two independent RNG substreams (arrival
 times, positions) so regenerating with the same params is bit-identical.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -119,39 +120,78 @@ def export_workload(calls: Workload, path: str | Path) -> None:
     Path(path).write_text(format_workload(calls))
 
 
-def import_workload(path: str | Path) -> Workload:
-    """Read a workload file written by export_workload.
+def import_workload(path: str | Path) -> tuple[Workload, str]:
+    """Read a workload file written by export_workload: its calls, in file
+    order, and the sha256 of its bytes.
 
-    Rejects, naming the line, a call id that is duplicate or outside int64,
-    a non-finite arrival time and a demand that is not finite and positive.
+    Rejects, naming the line, a row without five fields, a field that does
+    not parse, a call id that is duplicate or outside int64, a non-finite
+    arrival time and a demand that is not finite and positive.
     """
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != WORKLOAD_HEADER:
+    data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    lines = data.decode().splitlines()
+    del data  # freed before parsing: the lines hold the same text
+    rows = [line for line in lines if line.strip()]
+    if not rows or rows[0].strip() != WORKLOAD_HEADER:
         raise ValueError(f"{path}: missing workload header '{WORKLOAD_HEADER}'")
+    columns = _parse_columns(rows[1:])
+    if columns is None:
+        raise _first_bad_row(path, lines)
+    return Workload(*columns), digest
+
+
+PARSE_ROWS = 8192  # rows split into fields at once: bounds the strings held
+
+
+def _parse_columns(rows: list[str]) -> tuple[np.ndarray, ...] | None:
+    """The five columns of well-formed rows, each field column parsed in one
+    pass per block of PARSE_ROWS rows; None if any row breaks a rule that
+    _first_bad_row checks."""
+    if any(row.count(",") != 4 for row in rows):
+        return None
     ids: list[int] = []
-    values: list[tuple[float, ...]] = []
+    values = [np.zeros(0)]  # so that no rows concatenate to no values
+    try:
+        for start in range(0, len(rows), PARSE_ROWS):
+            fields = ",".join(rows[start:start + PARSE_ROWS]).split(",")
+            ids.extend(map(int, fields[0::5]))
+            del fields[0::5]
+            values.append(np.fromiter(map(float, fields), dtype=float, count=len(fields)))
+    except ValueError:
+        return None
+    arrival_ms, x_km, y_km, demand_ms = np.concatenate(values).reshape(-1, 4).T.copy()
+    if ids and not INT64.min <= min(ids) <= max(ids) <= INT64.max:
+        return None
+    if len(set(ids)) != len(ids) or not (
+        np.isfinite(arrival_ms).all() and (np.isfinite(demand_ms) & (demand_ms > 0)).all()
+    ):
+        return None
+    return np.array(ids, dtype=np.int64), arrival_ms, x_km, y_km, demand_ms
+
+
+def _first_bad_row(path: str | Path, lines: list[str]) -> ValueError:
+    """The error for the first row of a workload file that breaks a rule,
+    naming its line: row by row, rule by rule."""
     seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    rows = ((n, line) for n, line in enumerate(lines, start=1) if line.strip())
+    next(rows)  # the header
+    for lineno, line in rows:
         parts = line.split(",")
         if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+            return ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
         try:
             call_id = int(parts[0])
-            row = tuple(float(part) for part in parts[1:])
+            arrival_ms, _, _, demand_ms = (float(part) for part in parts[1:])
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        arrival_ms, _, _, demand_ms = row
+            return ValueError(f"{path}:{lineno}: {exc}")
         if call_id in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate call id {call_id}")
+            return ValueError(f"{path}:{lineno}: duplicate call id {call_id}")
         if not INT64.min <= call_id <= INT64.max:
-            raise ValueError(f"{path}:{lineno}: call id {call_id} is outside int64")
+            return ValueError(f"{path}:{lineno}: call id {call_id} is outside int64")
         if not math.isfinite(arrival_ms):
-            raise ValueError(f"{path}:{lineno}: arrival_ms {arrival_ms} is not finite")
+            return ValueError(f"{path}:{lineno}: arrival_ms {arrival_ms} is not finite")
         if not math.isfinite(demand_ms) or demand_ms <= 0:
-            raise ValueError(f"{path}:{lineno}: demand_ms {demand_ms}, need finite and > 0")
+            return ValueError(f"{path}:{lineno}: demand_ms {demand_ms}, need finite and > 0")
         seen.add(call_id)
-        ids.append(call_id)
-        values.append(row)
-    columns = np.array(values, dtype=float).reshape(-1, 4).T.copy()
-    return Workload(np.array(ids, dtype=np.int64), *columns)
+    raise RuntimeError(f"{path}: rejected, but no row breaks a rule")

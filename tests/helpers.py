@@ -23,9 +23,9 @@ def workload_of(arrivals, demands=0.4) -> Workload:
 
 
 def same_workload(a: Workload, b: Workload) -> bool:
-    """Equal column by column, dtypes included."""
+    """Equal column by column, dtypes included; NaN equals NaN."""
     return all(
-        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
         and getattr(a, f.name).dtype == getattr(b, f.name).dtype
         for f in fields(Workload)
     )

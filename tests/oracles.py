@@ -1,10 +1,17 @@
 """Independent reference implementations the test suite checks the package
 against. Nothing here imports engine internals: the walker reimplements the
-admission flow as a literal step-by-step state machine, and the Erlang
-reference evaluates the blocking formula by exact rational summation.
+admission flow as a literal step-by-step state machine, the Erlang
+reference evaluates the blocking formula by exact rational summation, and
+the workload reader and report writers work one row or record at a time.
 """
 
+import math
 from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+from cellbalance.traffic import WORKLOAD_HEADER, Workload
 
 
 def erlang_b_direct(erlangs: float, n_channels: int) -> float:
@@ -113,3 +120,90 @@ def oracle_instances():
                 for i in range(n)
             ]
             yield channels, calls, quantum
+
+
+# The report writers as they were before `--full` and CSV were streamed from
+# the per-call columns: one dict per `report.records` entry, then
+# json.dumps(indent=2), and one f-string per record for CSV. The streamed
+# writers must produce the same bytes.
+
+
+def report_document_oracle(report, params: dict, full: bool) -> dict:
+    doc = {
+        "system": report.system,
+        "params": params,
+        "counts": {
+            "accepted_home": report.accepted_home,
+            "handed_over": report.handed_over,
+            "blocked": report.blocked,
+        },
+        "per_bsc_handled": {str(b): n for b, n in sorted(report.per_bsc_handled.items())},
+        "total_execution_time_ms": report.total_execution_time_ms,
+        "empirical_blocking": report.empirical_blocking,
+    }
+    if full:
+        doc["records"] = [
+            {
+                "call_id": r.call_id,
+                "disposition": r.disposition.value,
+                "serving_bsc": r.serving_bsc,
+                "execution_time_ms": r.execution_time_ms,
+                "slices_used": r.slices_used,
+            }
+            for r in report.records
+        ]
+    return doc
+
+
+def comparison_document_oracle(comparison, params: dict, full: bool) -> dict:
+    return {
+        "normal": report_document_oracle(comparison.normal, params, full),
+        "load_balanced": report_document_oracle(comparison.load_balanced, params, full),
+        "deltas": {
+            "blocking_delta_pp": comparison.blocking_delta_pp,
+            "execution_time_delta_ms": comparison.execution_time_delta_ms,
+        },
+    }
+
+
+def records_csv_oracle(report) -> str:
+    lines = ["call_id,disposition,serving_bsc,execution_time_ms,slices_used"]
+    for r in report.records:
+        bsc = "" if r.serving_bsc is None else str(r.serving_bsc)
+        lines.append(
+            f"{r.call_id},{r.disposition.value},{bsc},{r.execution_time_ms!r},{r.slices_used}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def import_workload_oracle(path):
+    """A workload file read row by row, as import_workload read it before
+    it parsed whole columns, naming the file line of the first bad row."""
+    text = Path(path).read_text()
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not lines or lines[0][1].strip() != WORKLOAD_HEADER:
+        raise ValueError(f"{path}: missing workload header '{WORKLOAD_HEADER}'")
+    ids, values, seen = [], [], set()
+    for lineno, line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+        try:
+            call_id = int(parts[0])
+            row = tuple(float(part) for part in parts[1:])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        arrival_ms, _, _, demand_ms = row
+        if call_id in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate call id {call_id}")
+        if not -(2**63) <= call_id < 2**63:
+            raise ValueError(f"{path}:{lineno}: call id {call_id} is outside int64")
+        if not math.isfinite(arrival_ms):
+            raise ValueError(f"{path}:{lineno}: arrival_ms {arrival_ms} is not finite")
+        if not math.isfinite(demand_ms) or demand_ms <= 0:
+            raise ValueError(f"{path}:{lineno}: demand_ms {demand_ms}, need finite and > 0")
+        seen.add(call_id)
+        ids.append(call_id)
+        values.append(row)
+    columns = np.array(values, dtype=float).reshape(-1, 4).T.copy()
+    return Workload(np.array(ids, dtype=np.int64), *columns)

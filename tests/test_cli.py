@@ -375,6 +375,18 @@ class TestGenAndReplay:
         assert code == EXIT_USAGE
         assert f"{where}4: demand_ms {float(demand)}, need finite and > 0" in err
 
+    @pytest.mark.parametrize("command", [["run", "lb"], ["compare"]])
+    def test_undefined_quantum_names_file_exit_2(self, tmp_path, capsys, command):
+        """Used to exit 2 with `avg_arrival_range_ms = 0.0, need > 0`, which
+        named neither the file nor a remedy."""
+        rows = ["0,0.0,1.0,1.0,0.4", "1,0.0,1.0,1.0,0.4"]
+        code, err, where = self.replay_rows(tmp_path, capsys, command, rows)
+        assert code == EXIT_USAGE
+        assert f"workload '{where[:-1]}': the overflow calls' mean arrival is 0.0 ms" in err
+        assert "set one with --quantum" in err
+        code, err, _ = self.replay_rows(tmp_path, capsys, command + ["--quantum", "0.5"], rows)
+        assert code == EXIT_OK, err
+
 
 class TestConfigFile:
     def test_file_drives_run(self, tmp_path):

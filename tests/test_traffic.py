@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from helpers import same_workload, sequential_sum, workload_of
 from hypothesis import given, settings, strategies as st
+from oracles import import_workload_oracle
 
 from cellbalance.topology import TopologyConfig, build_topology
 from cellbalance.traffic import (
     DEFAULT_ARRIVAL_WINDOW_MS,
     DEFAULT_DEMAND_MS,
+    PARSE_ROWS,
     WORKLOAD_HEADER,
     WorkloadParams,
     average_arrival_range,
@@ -114,7 +116,13 @@ class TestWorkloadFiles:
         calls = generate_workload(WorkloadParams(n_calls=64, seed=5), TOPO)
         path = tmp_path / "calls.csv"
         export_workload(calls, path)
-        assert same_workload(import_workload(path), calls)
+        assert same_workload(import_workload(path)[0], calls)
+
+    def test_round_trip_across_parse_blocks(self, tmp_path):
+        calls = generate_workload(WorkloadParams(n_calls=2 * PARSE_ROWS + 1, seed=5), TOPO)
+        path = tmp_path / "calls.csv"
+        export_workload(calls, path)
+        assert same_workload(import_workload(path)[0], calls)
 
     def test_format_header_and_width(self):
         calls = generate_workload(WorkloadParams(n_calls=3, seed=5), TOPO)
@@ -136,6 +144,13 @@ class TestWorkloadFiles:
         with pytest.raises(ValueError, match=r":3: expected 5 fields"):
             import_workload(path)
 
+    def test_error_counts_blank_lines(self, tmp_path):
+        """Line numbers used to skip blank lines, so this error said :3:."""
+        path = tmp_path / "bad.csv"
+        path.write_text(WORKLOAD_HEADER + "\n\n0,1.0,0.5,0.5,0.4\n1,2.0,0.5\n")
+        with pytest.raises(ValueError, match=r":4: expected 5 fields"):
+            import_workload(path)
+
     def test_bad_float_error_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(WORKLOAD_HEADER + "\n0,oops,0.5,0.5,0.4\n")
@@ -146,7 +161,7 @@ class TestWorkloadFiles:
         path = tmp_path / "calls.csv"
         rows = ["7,3.0,0.1,0.1,0.4", "2,1.0,0.2,0.2,0.5", "9,3.0,0.3,0.3,0.6", "4,1.0,0.4,0.4,0.7"]
         path.write_text(WORKLOAD_HEADER + "\n" + "\n".join(rows) + "\n")
-        calls = import_workload(path).sorted_by_arrival()
+        calls = import_workload(path)[0].sorted_by_arrival()
         assert calls.ids.tolist() == [2, 4, 7, 9]
         assert calls.arrival_ms.tolist() == [1.0, 1.0, 3.0, 3.0]
         assert calls.x_km.tolist() == [0.2, 0.4, 0.1, 0.3]
@@ -158,4 +173,36 @@ class TestWorkloadFiles:
         calls = generate_workload(WorkloadParams(n_calls=n, seed=seed), TOPO)
         path = tmp_path_factory.mktemp("wl") / "calls.csv"
         export_workload(calls, path)
-        assert same_workload(import_workload(path), calls)
+        assert same_workload(import_workload(path)[0], calls)
+
+
+# fields valid in every column, and fields that break a rule in some column:
+# text int() or float() refuses, non-finite values, demands not above 0 and
+# ids outside int64
+GOOD_FIELDS = ["0", "1", "7", "2.5", "0.4", "1e3", " 3 ", "1_0", "9223372036854775807"]
+BAD_FIELDS = ["", "oops", "nan", "inf", "-inf", "0.0", "-0.4", "-3",
+              "9223372036854775808", "-9223372036854775809"]
+ROWS = st.one_of(
+    st.lists(st.sampled_from(GOOD_FIELDS), min_size=5, max_size=5),
+    st.lists(st.sampled_from(GOOD_FIELDS + BAD_FIELDS), min_size=4, max_size=6),
+    st.just([]),  # a blank line
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(ROWS, max_size=8), distinct_ids=st.booleans())
+def test_import_matches_row_by_row_reader(tmp_path_factory, rows, distinct_ids):
+    """The columns parsed in bulk equal a row-by-row read, and a file that
+    reader refuses fails with the same message."""
+    if distinct_ids:
+        rows = [[str(i)] + fields[1:] if fields else [] for i, fields in enumerate(rows)]
+    path = tmp_path_factory.mktemp("wl") / "calls.csv"
+    path.write_text(WORKLOAD_HEADER + "\n" + "\n".join(map(",".join, rows)) + "\n")
+    try:
+        expected = import_workload_oracle(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            import_workload(path)
+        assert str(raised.value) == str(exc)
+    else:
+        assert same_workload(import_workload(path)[0], expected)
