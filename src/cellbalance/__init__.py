@@ -25,13 +25,7 @@ from .teletraffic import (
     erlang_b,
     format_blocking_csv,
 )
-from .topology import (
-    BscConfig,
-    BscId,
-    NetworkTopology,
-    TopologyConfig,
-    build_topology,
-)
+from .topology import BscId, NetworkTopology
 from .traffic import (
     Workload,
     WorkloadParams,
@@ -45,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockingCurvePoint",
-    "BscConfig",
     "BscId",
     "CallRecord",
     "ComparisonReport",
@@ -54,12 +47,10 @@ __all__ = [
     "NetworkTopology",
     "OfferedLoad",
     "SimulationReport",
-    "TopologyConfig",
     "Workload",
     "WorkloadParams",
     "average_arrival_range",
     "blocking_sweep",
-    "build_topology",
     "compare_systems",
     "compute_quantum",
     "erlang_b",

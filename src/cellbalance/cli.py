@@ -12,6 +12,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -35,8 +36,6 @@ from .topology import (
     DEFAULT_CELLS_PER_BSC,
     HOME_BSC,
     NetworkTopology,
-    TopologyConfig,
-    build_topology,
 )
 from .traffic import (
     DEFAULT_ARRIVAL_WINDOW_MS,
@@ -86,12 +85,10 @@ class RunConfig:
 
     @cached_property
     def topology(self) -> NetworkTopology:
-        return build_topology(
-            TopologyConfig(
-                bsc_channels=self.bsc_channels,
-                cells_per_bsc=self.cells_per_bsc,
-                area_km=self.area_km,
-            )
+        return NetworkTopology(
+            bsc_channels=self.bsc_channels,
+            cells_per_bsc=self.cells_per_bsc,
+            area_km=self.area_km,
         )
 
     @cached_property
@@ -152,7 +149,7 @@ def _parse_value(key: str, raw: str, where: str):
 def load_config_file(path: str) -> dict:
     """Parse a flat key = value file into typed config entries."""
     try:
-        text = open(path).read()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from exc
     values = {}
@@ -291,11 +288,8 @@ def _record_chunks(report: SimulationReport, outcome):
     id, outcome, execution time and slices. A call's outcome is its
     disposition and serving BSC fields, `outcome(disposition, serving BSC
     or None)`, rendered once per serving BSC."""
-    dispositions = {NO_BSC: Disposition.BLOCKED, HOME_BSC: Disposition.ACCEPTED_HOME}
     outcomes = {
-        bsc: outcome(
-            dispositions.get(bsc, Disposition.HANDED_OVER).value, None if bsc == NO_BSC else bsc
-        )
+        bsc: outcome(Disposition.of(bsc).value, None if bsc == NO_BSC else bsc)
         for bsc in np.unique(report.serving_bscs).tolist()
     }
     for start in range(0, len(report.call_ids), CHUNK_CALLS):
@@ -351,9 +345,11 @@ def console_block(report: SimulationReport, topology: NetworkTopology) -> str:
     """Human-readable run summary: home pool, overload notice, tallies."""
     total = report.accepted_home + report.handed_over + report.blocked
     overflow = total - report.accepted_home
+    pools = topology.bsc_channels
+    neighbors = range(HOME_BSC + 1, len(pools))
     lines = [
-        f"system have {topology.home.cells} cell per BSC",
-        f"channel free BSC1 = {topology.home_channels}",
+        f"system have {topology.cells_per_bsc} cell per BSC",
+        f"channel free BSC1 = {pools[HOME_BSC]}",
         f"number of call request = {total}",
     ]
     if overflow > 0:
@@ -362,10 +358,10 @@ def console_block(report: SimulationReport, topology: NetworkTopology) -> str:
         lines.append(f"Number of Blocked calls = {report.blocked}")
     else:
         lines.append(f"Number of Handover calls = {report.handed_over}")
-        for bsc in topology.bscs[1:]:
-            lines.append(f"channel free BSC{bsc.id + 1} = {bsc.free_channels}")
-        for bsc in topology.bscs[1:]:
-            lines.append(f"BSC{bsc.id + 1} Handeled = {report.per_bsc_handled[bsc.id]}")
+        for bsc in neighbors:
+            lines.append(f"channel free BSC{bsc + 1} = {pools[bsc]}")
+        for bsc in neighbors:
+            lines.append(f"BSC{bsc + 1} Handeled = {report.per_bsc_handled[bsc]}")
         if report.blocked > 0:
             lines.append(f"Number of Blocked calls = {report.blocked}")
     return "\n".join(lines)
@@ -505,7 +501,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     calls = generate_workload(config.workload_params, config.topology)
     with _output(config.output) as write:
-        write(format_workload(calls))
+        format_workload(write, calls)
     return EXIT_OK
 
 

@@ -42,6 +42,13 @@ class Disposition(Enum):
     HANDED_OVER = "handed_over"
     BLOCKED = "blocked"
 
+    @classmethod
+    def of(cls, serving_bsc: BscId) -> "Disposition":
+        """The disposition of a call by its serving BSC in a report column."""
+        if serving_bsc == NO_BSC:
+            return cls.BLOCKED
+        return cls.ACCEPTED_HOME if serving_bsc == HOME_BSC else cls.HANDED_OVER
+
 
 @dataclass(frozen=True)
 class CallRecord:
@@ -100,11 +107,10 @@ class SimulationReport:
     @cached_property
     def records(self) -> tuple[CallRecord, ...]:
         columns = (self.call_ids, self.serving_bscs, self.execution_times_ms, self.slices)
-        dispositions = {NO_BSC: Disposition.BLOCKED, HOME_BSC: Disposition.ACCEPTED_HOME}
         return tuple(
             CallRecord(
                 call_id=call_id,
-                disposition=dispositions.get(bsc, Disposition.HANDED_OVER),
+                disposition=Disposition.of(bsc),
                 serving_bsc=None if bsc == NO_BSC else bsc,
                 execution_time_ms=time_ms,
                 slices_used=k,
@@ -132,7 +138,6 @@ class ComparisonReport:
     load_balanced: SimulationReport
     blocking_delta_pp: float
     execution_time_delta_ms: float
-    per_bsc_handled: dict[BscId, int]
 
 
 class UndefinedQuantum(ValueError):
@@ -254,7 +259,7 @@ def simulate_normal(
     records carry zero execution time since they received no service.
     """
     _check_sorted(calls)
-    pools = [b.free_channels for b in topology.bscs]
+    pools = list(topology.bsc_channels)
     n = len(calls)
     home = min(n, pools[HOME_BSC])
     charged = calls.arrival_ms + waiting_ms
@@ -298,7 +303,7 @@ def simulate_load_balanced(
     if params is None:
         params = LbParams()
     _check_sorted(calls)
-    pools = [b.free_channels for b in topology.bscs]
+    pools = list(topology.bsc_channels)
     capacities = pools[HOME_BSC + 1:]
     n = len(calls)
     home = min(n, pools[HOME_BSC])
@@ -348,5 +353,4 @@ def compare_systems(
         load_balanced=lb,
         blocking_delta_pp=(ns.empirical_blocking - lb.empirical_blocking) * 100.0,
         execution_time_delta_ms=ns.total_execution_time_ms - lb.total_execution_time_ms,
-        per_bsc_handled=dict(lb.per_bsc_handled),
     )

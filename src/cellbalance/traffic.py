@@ -107,17 +107,23 @@ def average_arrival_range(arrival_ms: np.ndarray) -> float:
     return running_sum(arrival_ms) / len(arrival_ms)
 
 
-def format_workload(calls: Workload) -> str:
-    """Columnar text, one call per line, floats in full round-trip precision."""
-    rows = zip(*(getattr(calls, f.name).tolist() for f in fields(calls)))
-    lines = [WORKLOAD_HEADER]
-    lines.extend(f"{i},{t!r},{x!r},{y!r},{d!r}" for i, t, x, y, d in rows)
-    return "\n".join(lines) + "\n"
+EXPORT_ROWS = 8192  # rows formatted per write: bounds the text held at once
+
+
+def format_workload(write, calls: Workload) -> None:
+    """Write the calls as columnar text, one call per line, floats in full
+    round-trip precision, EXPORT_ROWS lines per write."""
+    write(WORKLOAD_HEADER + "\n")
+    columns = [getattr(calls, f.name) for f in fields(calls)]
+    for start in range(0, len(calls), EXPORT_ROWS):
+        rows = zip(*(column[start:start + EXPORT_ROWS].tolist() for column in columns))
+        write("".join(f"{i},{t!r},{x!r},{y!r},{d!r}\n" for i, t, x, y, d in rows))
 
 
 def export_workload(calls: Workload, path: str | Path) -> None:
     """Write a workload file that import_workload reads back bit-identically."""
-    Path(path).write_text(format_workload(calls))
+    with open(path, "w") as fh:
+        format_workload(fh.write, calls)
 
 
 def import_workload(path: str | Path) -> tuple[Workload, str]:

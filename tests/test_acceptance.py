@@ -19,10 +19,10 @@ from cellbalance.engine import (
     slice_execution_time,
 )
 from cellbalance.teletraffic import OfferedLoad, blocking_sweep, erlang_b
-from cellbalance.topology import TopologyConfig, build_topology
+from cellbalance.topology import NetworkTopology
 from cellbalance.traffic import WorkloadParams, generate_workload
 
-DEFAULT_TOPO = build_topology(TopologyConfig())
+DEFAULT_TOPO = NetworkTopology()
 
 
 def check(num, label, ok, detail=""):
@@ -120,7 +120,7 @@ def test_criterion_7_flowchart_walker_oracle():
     checked = 0
     mismatches = 0
     for channels, calls, quantum in oracle_instances():
-        topology = build_topology(TopologyConfig(bsc_channels=channels))
+        topology = NetworkTopology(bsc_channels=channels)
         requests = workload_of([cid + 1 for cid, _ in calls], [d for _, d in calls])
         report = simulate_load_balanced(
             topology, requests, LbParams(quantum_override_ms=quantum)
@@ -149,7 +149,7 @@ def test_criterion_8_conservation_and_determinism():
     for _ in range(1000):
         n_bscs = rng.randint(2, 4)
         channels = tuple(rng.randint(0, 8) for _ in range(n_bscs))
-        topology = build_topology(TopologyConfig(bsc_channels=channels))
+        topology = NetworkTopology(bsc_channels=channels)
         params = WorkloadParams(
             n_calls=rng.randint(0, 60),
             seed=rng.getrandbits(63),

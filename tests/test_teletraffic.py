@@ -15,10 +15,10 @@ from cellbalance.teletraffic import (
     erlang_b,
     format_blocking_csv,
 )
-from cellbalance.topology import TopologyConfig, build_topology
+from cellbalance.topology import NetworkTopology
 from cellbalance.traffic import WorkloadParams, generate_workload
 
-DEFAULT_TOPO = build_topology(TopologyConfig())
+DEFAULT_TOPO = NetworkTopology()
 
 
 class TestOfferedLoad:
@@ -96,7 +96,7 @@ class TestEmpiricalBlocking:
         assert report.empirical_blocking == 0.0
 
     def test_total_starvation(self):
-        topo = build_topology(TopologyConfig(bsc_channels=(0, 0)))
+        topo = NetworkTopology(bsc_channels=(0, 0))
         calls = workload_of(range(5))
         assert simulate_normal(topo, calls).empirical_blocking == 1.0
 

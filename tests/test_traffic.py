@@ -6,7 +6,7 @@ from helpers import same_workload, sequential_sum, workload_of
 from hypothesis import given, settings, strategies as st
 from oracles import import_workload_oracle
 
-from cellbalance.topology import TopologyConfig, build_topology
+from cellbalance.topology import NetworkTopology
 from cellbalance.traffic import (
     DEFAULT_ARRIVAL_WINDOW_MS,
     DEFAULT_DEMAND_MS,
@@ -21,7 +21,7 @@ from cellbalance.traffic import (
     running_sum,
 )
 
-TOPO = build_topology(TopologyConfig())
+TOPO = NetworkTopology()
 
 
 class TestGenerateWorkload:
@@ -126,7 +126,9 @@ class TestWorkloadFiles:
 
     def test_format_header_and_width(self):
         calls = generate_workload(WorkloadParams(n_calls=3, seed=5), TOPO)
-        text = format_workload(calls)
+        parts = []
+        format_workload(parts.append, calls)
+        text = "".join(parts)
         lines = text.splitlines()
         assert lines[0] == WORKLOAD_HEADER
         assert len(lines) == 4
