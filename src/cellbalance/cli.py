@@ -1,24 +1,22 @@
 """Command-line front end: run, compare, sweep, erlang, gen.
 
-Configuration is a flat key = value file (arrays bracketed); every key can
-also be set by a flag, and flags win over the file. Reports are written as
-JSON or CSV; each run also prints a short console block (home pool,
-overload notice, handover tallies).
+Configuration is a flat key = value file (arrays bracketed); each key also
+has a flag, which wins over the file. One file may hold every key, and each
+subcommand takes the flags of the keys it reads. Reports are written as JSON
+or CSV; each run also prints a short console block (home pool, overload
+notice, handover tallies).
 """
 
 import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .engine import (
-    DEFAULT_CONTEXT_SWITCH_MS,
-    DEFAULT_WAITING_MS,
     NO_BSC,
     ComparisonReport,
     Disposition,
@@ -30,17 +28,8 @@ from .engine import (
     simulate_normal,
 )
 from .teletraffic import OfferedLoad, blocking_sweep, erlang_b, format_blocking_csv
-from .topology import (
-    DEFAULT_AREA_KM,
-    DEFAULT_BSC_CHANNELS,
-    DEFAULT_CELLS_PER_BSC,
-    HOME_BSC,
-    NetworkTopology,
-)
+from .topology import HOME_BSC, NetworkTopology
 from .traffic import (
-    DEFAULT_ARRIVAL_WINDOW_MS,
-    DEFAULT_DEMAND_MS,
-    DEFAULT_SEED,
     Workload,
     WorkloadParams,
     format_workload,
@@ -53,97 +42,63 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
 
-class ConfigError(ValueError):
-    """User-facing configuration problem; maps to exit status 2 like every
-    ValueError."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    bsc_channels: tuple[int, ...] = DEFAULT_BSC_CHANNELS
-    cells_per_bsc: int = DEFAULT_CELLS_PER_BSC
-    area_km: float = DEFAULT_AREA_KM
-    n_calls: int = 900
-    seed: int = DEFAULT_SEED
-    arrival_window_ms: float = DEFAULT_ARRIVAL_WINDOW_MS
-    demand_ms: float = DEFAULT_DEMAND_MS
-    context_switch_ms: float = DEFAULT_CONTEXT_SWITCH_MS
-    waiting_ms: float = DEFAULT_WAITING_MS
-    quantum_override_ms: float | None = None
-    format: str = "json"
-    output: str | None = None
+    """The validated objects a subcommand runs on, and where its document goes."""
 
-    # Each is built, and so validated, once: the range checks live in the
-    # objects themselves and their messages name the config key.
-    @cached_property
-    def lb_params(self) -> LbParams:
-        return LbParams(
-            context_switch_ms=self.context_switch_ms,
-            waiting_ms=self.waiting_ms,
-            quantum_override_ms=self.quantum_override_ms,
-        )
-
-    @cached_property
-    def topology(self) -> NetworkTopology:
-        return NetworkTopology(
-            bsc_channels=self.bsc_channels,
-            cells_per_bsc=self.cells_per_bsc,
-            area_km=self.area_km,
-        )
-
-    @cached_property
-    def workload_params(self) -> WorkloadParams:
-        return WorkloadParams(
-            n_calls=self.n_calls,
-            seed=self.seed,
-            arrival_window_ms=self.arrival_window_ms,
-            demand_ms=self.demand_ms,
-        )
+    topology: NetworkTopology
+    workload_params: WorkloadParams
+    lb_params: LbParams
+    format: str
+    output: str | None
 
 
-_INT_KEYS = {"cells_per_bsc", "n_calls", "seed"}
-_FLOAT_KEYS = {
-    "area_km",
-    "arrival_window_ms",
-    "demand_ms",
-    "context_switch_ms",
-    "waiting_ms",
-}
-_KNOWN_KEYS = (
-    {"bsc_channels", "quantum_override_ms", "format", "output"} | _INT_KEYS | _FLOAT_KEYS
-)
-
-
-def _parse_channels(text: str, where: str) -> tuple[int, ...]:
+def _parse_channels(text: str) -> tuple[int, ...]:
     inner = text.strip()
     if inner.startswith("[") and inner.endswith("]"):
         inner = inner[1:-1]
-    items = [part.strip() for part in inner.split(",") if part.strip()]
-    try:
-        return tuple(int(part) for part in items)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bsc_channels must be integers, got '{text}'") from exc
+    return tuple(int(part) for part in inner.split(",") if part.strip())
+
+
+def _parse_quantum(text: str) -> float | None:
+    return None if text.lower() in ("none", "") else float(text)
+
+
+def _parse_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(text)
+    return text
+
+
+# config key: (flag, parser of a file value or flag, help). The topology,
+# workload and load-balancing keys are the field names of the objects built
+# from them.
+CONFIG_KEYS = {
+    "bsc_channels": ("--bsc-channels", _parse_channels,
+                     "per-BSC channel pools, home first, e.g. '313,346,382'"),
+    "cells_per_bsc": ("--cells-per-bsc", int, "cells per BSC"),
+    "area_km": ("--area-km", float, "side of the square area, km"),
+    "n_calls": ("--calls", int, "number of call requests"),
+    "seed": ("--seed", int, "workload RNG seed"),
+    "arrival_window_ms": ("--window", float, "arrival window in ms"),
+    "demand_ms": ("--demand", float, "handover demand per call in ms"),
+    "context_switch_ms": ("--context-switch", float, "round-robin context switch, ms"),
+    "waiting_ms": ("--waiting", float, "waiting time per examined call, ms"),
+    "quantum_override_ms": ("--quantum", _parse_quantum,
+                            "override the computed quantum, ms (none: computed)"),
+    "format": ("--format", _parse_format, "json or csv"),
+    "output": ("--output", str, "write the document here instead of stdout"),
+}
+TOPOLOGY_KEYS = tuple(f.name for f in fields(NetworkTopology))
+WORKLOAD_KEYS = tuple(f.name for f in fields(WorkloadParams))
+LB_KEYS = tuple(f.name for f in fields(LbParams))
 
 
 def _parse_value(key: str, raw: str, where: str):
-    if key == "bsc_channels":
-        return _parse_channels(raw, where)
-    if key == "format":
-        if raw not in ("csv", "json"):
-            raise ConfigError(f"{where}: format must be csv or json, got '{raw}'")
-        return raw
-    if key == "output":
-        return raw
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "quantum_override_ms":
-            return None if raw.lower() in ("none", "") else float(raw)
+        return CONFIG_KEYS[key][1](raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}: key '{key}' has invalid value '{raw}'") from exc
-    raise ConfigError(f"{where}: unknown key '{key}'")
+        raise ValueError(f"{where}: key '{key}' has invalid value '{raw}'") from exc
 
 
 def load_config_file(path: str) -> dict:
@@ -151,19 +106,24 @@ def load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config '{path}': {exc}") from exc
+        raise ValueError(f"cannot read config '{path}': {exc}") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{stripped}'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got '{stripped}'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
         values[key] = _parse_value(key, raw, f"{path}:{lineno}")
     return values
+
+
+def _built(cls, values: dict):
+    """cls from the values of its own fields; the rest keep cls's defaults."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -172,20 +132,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     Builds the topology, workload and load-balancing params, so a bad value
     raises ValueError (exit 2) before any subcommand runs.
     """
-    config = RunConfig()
-    if getattr(args, "config", None):
-        config = replace(config, **load_config_file(args.config))
-    overrides = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            key = f.name
-            overrides[key] = (
-                _parse_channels(value, "--bsc-channels") if key == "bsc_channels" else value
-            )
-    config = replace(config, **overrides)
-    config.topology, config.workload_params, config.lb_params  # built and checked here
-    return config
+    values = {"n_calls": 900}
+    if args.config:
+        values.update(load_config_file(args.config))
+    for key, (flag, _, _) in CONFIG_KEYS.items():
+        raw = getattr(args, key, None)
+        if raw is not None:
+            values[key] = _parse_value(key, raw, flag)
+    return RunConfig(
+        topology=_built(NetworkTopology, values),
+        workload_params=_built(WorkloadParams, values),
+        lb_params=_built(LbParams, values),
+        format=values.get("format", "json"),
+        output=values.get("output"),
+    )
 
 
 def _load_calls(config: RunConfig, workload_path: str | None) -> tuple[Workload, dict]:
@@ -195,14 +155,15 @@ def _load_calls(config: RunConfig, workload_path: str | None) -> tuple[Workload,
         try:
             calls, digest = import_workload(workload_path)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"workload '{workload_path}': {exc}") from exc
+            raise ValueError(f"workload '{workload_path}': {exc}") from exc
         return calls.sorted_by_arrival(), {"workload_sha256": digest}
+    params = config.workload_params
     source = {
-        "seed": config.seed,
-        "arrival_window_ms": config.arrival_window_ms,
-        "demand_ms": config.demand_ms,
+        "seed": params.seed,
+        "arrival_window_ms": params.arrival_window_ms,
+        "demand_ms": params.demand_ms,
     }
-    return generate_workload(config.workload_params, config.topology), source
+    return generate_workload(params, config.topology), source
 
 
 # --- report serialization ---------------------------------------------------
@@ -214,14 +175,15 @@ def report_params(
     """The run's parameters; n_calls is the number of calls simulated and
     `source` where they came from, which a replayed workload file sets, not
     the config."""
+    topology, lb_params = config.topology, config.lb_params
     return {
-        "bsc_channels": list(config.bsc_channels),
-        "cells_per_bsc": config.cells_per_bsc,
-        "area_km": config.area_km,
+        "bsc_channels": list(topology.bsc_channels),
+        "cells_per_bsc": topology.cells_per_bsc,
+        "area_km": topology.area_km,
         "n_calls": n_calls,
         **source,
-        "context_switch_ms": config.context_switch_ms,
-        "waiting_ms": config.waiting_ms,
+        "context_switch_ms": lb_params.context_switch_ms,
+        "waiting_ms": lb_params.waiting_ms,
         "quantum_ms": report.quantum_ms,
     }
 
@@ -372,9 +334,13 @@ def _output(path: str | None):
     """A write function for the document: into `path`, or onto stdout."""
     if not path:
         yield sys.stdout.write
-    else:
-        with open(path, "w") as fh:
-            yield fh.write
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write output '{path}': {exc.strerror}") from exc
+    with fh:
+        yield fh.write
 
 
 @contextmanager
@@ -384,7 +350,7 @@ def _quantum_named(workload_path: str | None):
         yield
     except UndefinedQuantum as exc:
         source = f"workload '{workload_path}'" if workload_path else "the generated workload"
-        raise ConfigError(
+        raise ValueError(
             f"{source}: the overflow calls' mean arrival is {exc.avg_arrival_range_ms} ms, "
             "so the round-robin quantum (mean arrival / overflow calls) is undefined; "
             "set one with --quantum"
@@ -399,7 +365,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     topology = config.topology
     calls, source = _load_calls(config, args.workload)
     if args.system == "normal":
-        report = simulate_normal(topology, calls, waiting_ms=config.waiting_ms)
+        report = simulate_normal(topology, calls, waiting_ms=config.lb_params.waiting_ms)
     else:
         with _quantum_named(args.workload):
             report = simulate_load_balanced(topology, calls, config.lb_params)
@@ -450,34 +416,35 @@ def parse_levels(text: str) -> list[int]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"range '{text}' must be start:stop:step")
+            raise ValueError(f"range '{text}' must be start:stop:step")
         try:
             start, stop, step = (int(p) for p in parts)
         except ValueError as exc:
-            raise ConfigError(f"range '{text}' must be integers") from exc
+            raise ValueError(f"range '{text}' must be integers") from exc
         if step <= 0:
-            raise ConfigError(f"range '{text}': step must be > 0")
+            raise ValueError(f"range '{text}': step must be > 0")
         levels = list(range(start, stop + 1, step))
     else:
         try:
             levels = [int(p) for p in text.split(",") if p.strip()]
         except ValueError as exc:
-            raise ConfigError(f"levels '{text}' must be integers") from exc
+            raise ValueError(f"levels '{text}' must be integers") from exc
     if not levels:
-        raise ConfigError(f"levels '{text}' is empty (a descending range holds no level)")
+        raise ValueError(f"levels '{text}' is empty (a descending range holds no level)")
     return levels
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     levels = parse_levels(args.levels)
+    params = config.workload_params
     points = blocking_sweep(
         config.topology,
         levels,
-        seed=config.seed,
+        seed=params.seed,
         lb_params=config.lb_params,
-        arrival_window_ms=config.arrival_window_ms,
-        demand_ms=config.demand_ms,
+        arrival_window_ms=params.arrival_window_ms,
+        demand_ms=params.demand_ms,
     )
     with _output(config.output) as write:
         write(format_blocking_csv(points))
@@ -486,13 +453,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_erlang(args: argparse.Namespace) -> int:
     if args.a is not None and (args.lam is not None or args.mu is not None):
-        raise ConfigError("give either --a or --lambda with --mu, not both")
+        raise ValueError("give either --a or --lambda with --mu, not both")
     if args.a is not None:
         load = OfferedLoad(args.a)
     elif args.lam is not None and args.mu is not None:
         load = OfferedLoad.from_rates(args.lam, args.mu)
     else:
-        raise ConfigError("offered load missing: give --a or both --lambda and --mu")
+        raise ValueError("offered load missing: give --a or both --lambda and --mu")
     print(f"{erlang_b(load, args.n):.6f}")
     return EXIT_OK
 
@@ -513,41 +480,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, workload: bool = False) -> None:
+    def add_keys(p: argparse.ArgumentParser, keys, replay: bool = False) -> None:
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--calls", dest="n_calls", type=int, help="number of call requests")
-        p.add_argument("--seed", type=int, help="workload RNG seed")
-        p.add_argument("--bsc-channels", dest="bsc_channels",
-                       help="per-BSC channel pools, e.g. '313,346,382'")
-        p.add_argument("--cells-per-bsc", dest="cells_per_bsc", type=int)
-        p.add_argument("--area-km", dest="area_km", type=float)
-        p.add_argument("--window", dest="arrival_window_ms", type=float,
-                       help="arrival window in ms")
-        p.add_argument("--demand", dest="demand_ms", type=float,
-                       help="handover demand per call in ms")
-        p.add_argument("--context-switch", dest="context_switch_ms", type=float)
-        p.add_argument("--waiting", dest="waiting_ms", type=float)
-        p.add_argument("--quantum", dest="quantum_override_ms", type=float,
-                       help="override the computed quantum, ms")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--output", help="write the document here instead of stdout")
-        p.add_argument("--full", action="store_true",
-                       help="include per-call records in JSON reports")
-        if workload:
+        for key in keys:
+            flag, _, help_text = CONFIG_KEYS[key]
+            p.add_argument(flag, dest=key, help=help_text)
+        if replay:
+            p.add_argument("--full", action="store_true",
+                           help="include per-call records in JSON reports")
             p.add_argument("--workload", help="replay calls from an exported workload file")
 
     p_run = sub.add_parser("run", help="run one admission system")
     p_run.add_argument("system", choices=("normal", "lb"))
-    add_common(p_run, workload=True)
+    add_keys(p_run, CONFIG_KEYS, replay=True)
     p_run.set_defaults(handler=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run both systems on one workload")
-    add_common(p_cmp, workload=True)
+    add_keys(p_cmp, CONFIG_KEYS, replay=True)
     p_cmp.set_defaults(handler=_cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="blocking curve over load levels")
     p_sweep.add_argument("levels", help="start:stop:step (stop inclusive) or n1,n2,...")
-    add_common(p_sweep)
+    add_keys(p_sweep, [*TOPOLOGY_KEYS, "seed", "arrival_window_ms", "demand_ms", *LB_KEYS,
+                       "output"])
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_erl = sub.add_parser("erlang", help="Erlang B blocking probability")
@@ -558,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_erl.set_defaults(handler=_cmd_erlang)
 
     p_gen = sub.add_parser("gen", help="generate and export a workload file")
-    add_common(p_gen)
+    add_keys(p_gen, [*TOPOLOGY_KEYS, *WORKLOAD_KEYS, "output"])
     p_gen.set_defaults(handler=_cmd_gen)
 
     return parser

@@ -167,23 +167,38 @@ def slice_execution_time(quantum_ms: float, context_switch_ms: float) -> float:
 def slices_to_finish(demand_ms: float, quantum_ms: float) -> int:
     """Round-robin passes a call of this demand takes to finish.
 
-    Subtracts the quantum once per pass until nothing is left, the float
-    operations a queued call goes through; ceil(demand / quantum) rounds
-    differently. The remaining demand never grows, so a pass that leaves it
-    unchanged repeats forever: that call would never finish and is refused.
+    Counts the passes of subtracting the quantum until nothing is left, the
+    float operations a queued call goes through; ceil(demand / quantum)
+    rounds differently. The remaining demand never grows, so a pass that
+    leaves it unchanged repeats forever: that call would never finish and is
+    refused.
+
+    The count takes O(binades), not one step per pass. While the remaining
+    demand r stays in its binade [2^e, 2^(e+1)), r - q rounds on one evenly
+    spaced grid, so once a step has landed there (fixing the parity a tie
+    rounds to) every later step has the same size. Steps that land above
+    2^e are skipped in one division; the step that reaches 2^e is taken for
+    real, since its exact result may round onto the finer grid below.
     """
     if not math.isfinite(demand_ms) or demand_ms <= 0:
         raise ValueError(f"demand {demand_ms} ms, need finite and > 0")
     slices = 0
     remaining = demand_ms
     while remaining > 0:
-        if remaining - quantum_ms == remaining:
+        after = remaining - quantum_ms
+        if after == remaining:
             raise ValueError(
                 f"quantum_ms = {quantum_ms} is too small to reduce a demand of "
                 f"{demand_ms} ms: the call would never finish"
             )
-        remaining -= quantum_ms
         slices += 1
+        step = remaining - after
+        edge = math.ldexp(0.5, math.frexp(remaining)[1])  # 2^e
+        if after > edge and after - (after - quantum_ms) == step:
+            skipped = max(int((after - edge) // step) - 1, 0)
+            after -= skipped * step
+            slices += skipped
+        remaining = after
     return slices
 
 

@@ -122,6 +122,21 @@ def oracle_instances():
             yield channels, calls, quantum
 
 
+def slices_to_finish_loop(demand_ms: float, quantum_ms: float) -> int:
+    """Round-robin passes to finish a demand, one subtraction per pass, as
+    engine.slices_to_finish counted them before it skipped whole runs of
+    equal steps; the same ValueError for a pass that leaves the demand
+    unchanged."""
+    slices = 0
+    remaining = demand_ms
+    while remaining > 0:
+        if remaining - quantum_ms == remaining:
+            raise ValueError("the call would never finish")
+        remaining -= quantum_ms
+        slices += 1
+    return slices
+
+
 # The report writers as they were before `--full` and CSV were streamed from
 # the per-call columns: one dict per `report.records` entry, then
 # json.dumps(indent=2), and one f-string per record for CSV. The streamed

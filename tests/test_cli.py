@@ -9,7 +9,6 @@ from cellbalance.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
-    ConfigError,
     load_config_file,
     main,
     parse_levels,
@@ -161,6 +160,12 @@ class TestRunCommand:
         assert main(argv) == EXIT_USAGE
         assert "never finish" in capsys.readouterr().err
 
+    def test_huge_demand_over_quantum_finishes(self, tmp_path):
+        """1e15 passes per call: counted one pass at a time, this never ended."""
+        doc = run_json(tmp_path, ["run", "lb", "--demand", "1e15", "--quantum", "1", "--calls", "400"])
+        assert doc["counts"]["handed_over"] == 87
+        assert doc["total_execution_time_ms"] == pytest.approx(87 * 1e15 * 1.1)
+
     def test_over_assigned_pool_is_internal_error(self, capsys, monkeypatch):
         """A rotation that sends every handover to one pool breaks the
         report's conservation check: an internal fault, not a usage error."""
@@ -170,6 +175,36 @@ class TestRunCommand:
         code = main(["run", "lb", "--bsc-channels", "1,1,1", "--calls", "3"])
         assert code == EXIT_INTERNAL
         assert capsys.readouterr().err.startswith("internal error")
+
+
+@pytest.mark.parametrize("argv", [["run", "lb"], ["compare"], ["sweep", "0:10:5"], ["gen"]])
+@pytest.mark.parametrize("missing_dir", [True, False])
+def test_unwritable_output_exit_2(tmp_path, capsys, argv, missing_dir):
+    """Used to exit 1 with `internal error: [Errno ...]`."""
+    path = tmp_path / "missing" / "out" if missing_dir else tmp_path
+    assert main(argv + ["--output", str(path)]) == EXIT_USAGE
+    assert f"cannot write output '{path}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        (["sweep", "0:600:300"], ["--calls", "7"]),
+        (["sweep", "0:600:300"], ["--format", "json"]),
+        (["sweep", "0:600:300"], ["--full"]),
+        (["gen"], ["--full"]),
+        (["gen"], ["--format", "json"]),
+        (["gen"], ["--quantum", "0.3"]),
+        (["gen"], ["--context-switch", "0.2"]),
+        (["gen"], ["--waiting", "1"]),
+    ],
+)
+def test_flag_the_subcommand_ignores_exit_2(capsys, command, flags):
+    """These were accepted and ignored: `--format json` still wrote CSV."""
+    with pytest.raises(SystemExit) as exited:
+        main(command + flags)
+    assert exited.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 class TestCompareCommand:
@@ -255,7 +290,7 @@ class TestParseLevels:
 
     def test_rejects_malformed(self):
         for bad in ("1:2", "1:2:3:4", "a:b:c", "x,y", "", "3:1:1", "1:5:0"):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ValueError):
                 parse_levels(bad)
 
 
@@ -423,6 +458,52 @@ class TestConfigFile:
         doc = run_json(tmp_path, ["run", "normal", "--config", str(cfg), "--calls", "3"])
         assert doc["params"]["n_calls"] == 3
         assert doc["params"]["seed"] == 1
+
+    def test_one_file_drives_every_subcommand(self, tmp_path):
+        """One file may hold all twelve keys: each subcommand reads its own
+        and writes what the same values given as flags write."""
+        out = tmp_path / "out"
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            "bsc_channels = [6, 4, 4]\ncells_per_bsc = 3\narea_km = 2.0\nn_calls = 12\n"
+            "seed = 5\narrival_window_ms = 100.0\ndemand_ms = 0.5\ncontext_switch_ms = 0.2\n"
+            f"waiting_ms = 1.0\nquantum_override_ms = 0.25\nformat = json\noutput = {out}\n"
+        )
+        topology = ["--bsc-channels", "6,4,4", "--cells-per-bsc", "3", "--area-km", "2"]
+        workload = ["--seed", "5", "--window", "100", "--demand", "0.5"]
+        lb = ["--context-switch", "0.2", "--waiting", "1", "--quantum", "0.25"]
+        commands = {
+            ("run", "lb"): [*topology, "--calls", "12", *workload, *lb, "--format", "json"],
+            ("sweep", "0,6,12"): [*topology, *workload, *lb],
+            ("gen",): [*topology, "--calls", "12", *workload],
+        }
+        written = {}
+        for command, flags in commands.items():
+            assert main([*command, "--config", str(cfg)]) == EXIT_OK
+            written[command[0]] = out.read_bytes()
+            assert main([*command, *flags, "--output", str(out)]) == EXIT_OK
+            assert out.read_bytes() == written[command[0]]
+        assert json.loads(written["run"])["params"] == {
+            "bsc_channels": [6, 4, 4], "cells_per_bsc": 3, "area_km": 2.0, "n_calls": 12,
+            "seed": 5, "arrival_window_ms": 100.0, "demand_ms": 0.5,
+            "context_switch_ms": 0.2, "waiting_ms": 1.0, "quantum_ms": 0.25,
+        }
+
+    @pytest.mark.parametrize(
+        "line, flags",
+        [("bsc_channels = 4,4", ["--bsc-channels", "[4, 4]"]),
+         ("quantum_override_ms = none", ["--quantum", "none"])],
+    )
+    def test_flag_parses_like_file_value(self, tmp_path, line, flags):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(line + "\n")
+        argv = ["run", "lb", "--calls", "400"]
+        from_file = run_json(tmp_path, argv + ["--config", str(cfg)], name="file.json")
+        assert run_json(tmp_path, argv + flags, name="flag.json") == from_file
+
+    def test_bad_flag_value_names_flag_and_key(self, capsys):
+        assert main(["run", "lb", "--calls", "1.5"]) == EXIT_USAGE
+        assert "--calls: key 'n_calls' has invalid value '1.5'" in capsys.readouterr().err
 
     def test_unknown_key_names_line(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from helpers import sequential_sum, workload_of
+from oracles import slices_to_finish_loop
 
 from cellbalance.engine import (
     LOAD_BALANCED,
@@ -64,6 +65,37 @@ class TestSliceExecutionTime:
         assert slice_execution_time(1.0, 0.25) == 1.25
 
 
+MAX_PASSES = 10_000  # demand / quantum bound, so the reference loop finishes
+
+
+@st.composite
+def slice_cases(draw) -> tuple[float, float]:
+    """(demand, quantum) pairs the reference loop finishes or refuses
+    quickly: random ones, quanta a whole number of ulps plus half an ulp (a
+    tie), and demands a whole number of steps above a power of two."""
+    kind = draw(st.sampled_from(["random", "tie", "edge"]))
+    if kind == "random":
+        demand = draw(st.floats(min_value=5e-324, max_value=1e300))
+        quantum = demand / draw(st.floats(min_value=1e-3, max_value=MAX_PASSES))
+        assume(quantum > 0)
+        return demand, quantum
+    if kind == "tie":
+        demand = draw(st.floats(min_value=1e-300, max_value=1e300))
+        ulps = draw(st.integers(2**52 // MAX_PASSES, 2**52 - 1))
+        # a tie in the demand's binade, or in one or two binades below
+        return demand, (ulps + 0.5) * math.ulp(demand) / 2 ** draw(st.integers(0, 2))
+    # each step rounds to `step` ulps, until the one that reaches the power
+    # of two, whose exact result may lie below it; quanta near power / n
+    # make the count hang on where that step lands
+    power = math.ldexp(1.0, draw(st.integers(-1000, 1000)))
+    ulps = 2**52 // draw(st.integers(2, MAX_PASSES)) + draw(st.integers(-3, 3))
+    frac = draw(st.sampled_from([-0.3, 0.0, 0.3, 0.4, 0.5]))
+    step = ulps + ulps % 2 if frac == 0.5 else ulps  # a tie rounds to an even multiple
+    steps = draw(st.integers(0, 2**52 // step - 1))
+    demand = power + (steps * step + draw(st.integers(0, 2))) * math.ulp(power)
+    return demand, (ulps + frac) * math.ulp(power)
+
+
 class TestSlicesToFinish:
     def test_repeated_subtraction(self):
         assert slices_to_finish(1.25, 0.5) == 3
@@ -95,6 +127,25 @@ class TestSlicesToFinish:
         with pytest.raises(ValueError, match="never finish"):
             slices_to_finish(2.0000000000000013, 2.220446049250313e-16)
         assert slices_to_finish(1e15, 2e12) == 500
+
+    def test_huge_ratio_counts_without_a_pass_per_slice(self):
+        """One loop pass per slice asked for 1e15 passes here."""
+        assert slices_to_finish(1e15, 1.0) == 10**15
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=slice_cases())
+    # the step that reaches 1.0 rounds to 1 - ulp/2 below it, and that half
+    # ulp decides the last pass
+    @example(case=(float.fromhex("0x1.43c3c3c3c3c38p+0"), float.fromhex("0x1.e1e1e1e1e1e1ap-6")))
+    def test_matches_subtraction_loop(self, case):
+        demand, quantum = case
+        try:
+            expected = slices_to_finish_loop(demand, quantum)
+        except ValueError:
+            with pytest.raises(ValueError, match="never finish"):
+                slices_to_finish(demand, quantum)
+        else:
+            assert slices_to_finish(demand, quantum) == expected
 
 
 class TestLbParams:

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 from helpers import same_workload, sequential_sum, workload_of
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import import_workload_oracle
 
 from cellbalance.topology import NetworkTopology
 from cellbalance.traffic import (
     DEFAULT_ARRIVAL_WINDOW_MS,
     DEFAULT_DEMAND_MS,
+    INT64,
     PARSE_ROWS,
     WORKLOAD_HEADER,
+    Workload,
     WorkloadParams,
     average_arrival_range,
     export_workload,
@@ -176,6 +178,33 @@ class TestWorkloadFiles:
         path = tmp_path_factory.mktemp("wl") / "calls.csv"
         export_workload(calls, path)
         assert same_workload(import_workload(path)[0], calls)
+
+
+ROW = st.tuples(
+    st.integers(INT64.min, INT64.max),
+    st.floats(allow_nan=False, allow_infinity=False),  # arrival
+    st.one_of(st.floats(allow_nan=False), st.just(math.nan)),  # x: a file holds no NaN payload
+    st.one_of(st.floats(allow_nan=False), st.just(math.nan)),  # y
+    st.floats(min_value=5e-324, allow_infinity=False),  # demand
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(ROW, unique_by=lambda row: row[0], max_size=12))
+@example(rows=[(int(INT64.min), -0.0, -0.0, math.nan, 5e-324),
+               (int(INT64.max), 5e-324, math.inf, -math.inf, 1.7976931348623157e308),
+               (0, -2.2250738585072014e-308, -5e-324, 0.0, 2.2250738585072014e-308)])
+def test_round_trip_adversarial_values_bit_for_bit(tmp_path_factory, rows):
+    """Export then import keeps every bit, which same_workload does not
+    check: it counts -0.0 equal to 0.0."""
+    ids, *floats = zip(*rows) if rows else [()] * 5
+    calls = Workload(np.array(ids, dtype=np.int64), *(np.array(c, dtype=float) for c in floats))
+    path = tmp_path_factory.mktemp("wl") / "calls.csv"
+    export_workload(calls, path)
+    back = import_workload(path)[0]
+    assert np.array_equal(back.ids, calls.ids)
+    for name in ("arrival_ms", "x_km", "y_km", "demand_ms"):
+        assert np.array_equal(getattr(back, name).view(np.int64), getattr(calls, name).view(np.int64))
 
 
 # fields valid in every column, and fields that break a rule in some column:
