@@ -169,18 +169,16 @@ def _load_calls(config: RunConfig, workload_path: str | None) -> tuple[Workload,
 # --- report serialization ---------------------------------------------------
 
 
-def report_params(
-    config: RunConfig, report: SimulationReport, n_calls: int, source: dict
-) -> dict:
-    """The run's parameters; n_calls is the number of calls simulated and
-    `source` where they came from, which a replayed workload file sets, not
-    the config."""
+def report_params(config: RunConfig, report: SimulationReport, source: dict) -> dict:
+    """The run's parameters: n_calls counts the calls simulated, and
+    `source` says where they came from, which a replayed workload file sets,
+    not the config."""
     topology, lb_params = config.topology, config.lb_params
     return {
         "bsc_channels": list(topology.bsc_channels),
         "cells_per_bsc": topology.cells_per_bsc,
         "area_km": topology.area_km,
-        "n_calls": n_calls,
+        "n_calls": len(report.call_ids),
         **source,
         "context_switch_ms": lb_params.context_switch_ms,
         "waiting_ms": lb_params.waiting_ms,
@@ -305,7 +303,7 @@ def comparison_csv(comparison: ComparisonReport) -> str:
 
 def console_block(report: SimulationReport, topology: NetworkTopology) -> str:
     """Human-readable run summary: home pool, overload notice, tallies."""
-    total = report.accepted_home + report.handed_over + report.blocked
+    total = len(report.call_ids)
     overflow = total - report.accepted_home
     pools = topology.bsc_channels
     neighbors = range(HOME_BSC + 1, len(pools))
@@ -360,8 +358,7 @@ def _quantum_named(workload_path: str | None):
 # --- subcommands ------------------------------------------------------------
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def _cmd_run(args: argparse.Namespace, config: RunConfig, write) -> int:
     topology = config.topology
     calls, source = _load_calls(config, args.workload)
     if args.system == "normal":
@@ -370,18 +367,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         with _quantum_named(args.workload):
             report = simulate_load_balanced(topology, calls, config.lb_params)
     print(console_block(report, topology))
-    with _output(config.output) as write:
-        if config.format == "json":
-            params = report_params(config, report, len(calls), source)
-            write_json(write, report_document(report, params, args.full))
-            write("\n")
-        else:
-            write_records_csv(write, report)
+    if config.format == "json":
+        params = report_params(config, report, source)
+        write_json(write, report_document(report, params, args.full))
+        write("\n")
+    else:
+        write_records_csv(write, report)
     return EXIT_OK
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def _cmd_compare(args: argparse.Namespace, config: RunConfig, write) -> int:
     topology = config.topology
     calls, source = _load_calls(config, args.workload)
     with _quantum_named(args.workload):
@@ -398,13 +393,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     print(f"blocking delta = {comparison.blocking_delta_pp:.4f} percentage points")
     print(f"execution time delta = {comparison.execution_time_delta_ms:.4f} ms")
-    with _output(config.output) as write:
-        if config.format == "json":
-            params = report_params(config, lb, len(calls), source)
-            write_json(write, comparison_document(comparison, params, args.full))
-            write("\n")
-        else:
-            write(comparison_csv(comparison))
+    if config.format == "json":
+        params = report_params(config, lb, source)
+        write_json(write, comparison_document(comparison, params, args.full))
+        write("\n")
+    else:
+        write(comparison_csv(comparison))
     return EXIT_OK
 
 
@@ -434,8 +428,7 @@ def parse_levels(text: str) -> list[int]:
     return levels
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def _cmd_sweep(args: argparse.Namespace, config: RunConfig, write) -> int:
     levels = parse_levels(args.levels)
     params = config.workload_params
     points = blocking_sweep(
@@ -446,8 +439,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         arrival_window_ms=params.arrival_window_ms,
         demand_ms=params.demand_ms,
     )
-    with _output(config.output) as write:
-        write(format_blocking_csv(points))
+    write(format_blocking_csv(points))
     return EXIT_OK
 
 
@@ -464,11 +456,8 @@ def _cmd_erlang(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    calls = generate_workload(config.workload_params, config.topology)
-    with _output(config.output) as write:
-        format_workload(write, calls)
+def _cmd_gen(args: argparse.Namespace, config: RunConfig, write) -> int:
+    format_workload(write, generate_workload(config.workload_params, config.topology))
     return EXIT_OK
 
 
@@ -523,7 +512,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        if args.command == "erlang":
+            return args.handler(args)
+        config = resolve_config(args)
+        if getattr(args, "full", False) and config.format == "csv":
+            raise ValueError("--full adds per-call records to JSON only, and format is csv")
+        # opened before the work, so an unwritable path is refused first
+        with _output(config.output) as write:
+            return args.handler(args, config, write)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

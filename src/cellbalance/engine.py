@@ -83,26 +83,64 @@ class LbParams:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Counts and totals of one run, and its per-call columns in arrival
-    order: call id, serving BSC (NO_BSC when blocked), execution time and
-    round-robin slices.
+    """One run: its totals and its per-call columns in arrival order: call
+    id, serving BSC (NO_BSC when blocked), execution time and round-robin
+    slices. The columns are the run's only record of outcomes; every count
+    is read from the serving-BSC column.
 
-    `records` (per-call outcomes) is built from the columns on first read,
-    so summaries never pay for it. Equality and repr include the records.
+    Raises RuntimeError, an internal fault, unless the columns have one
+    length, every serving BSC is NO_BSC or the index of a pool, and no pool
+    is over-assigned. `records` (per-call outcomes) is built from the
+    columns on first read; equality and repr include them.
     """
 
     system: str
-    accepted_home: int
-    handed_over: int
-    blocked: int
-    per_bsc_handled: dict[BscId, int]
+    bsc_channels: tuple[int, ...]
     total_execution_time_ms: float
-    empirical_blocking: float
     quantum_ms: float | None
     call_ids: np.ndarray = field(repr=False, compare=False)
     serving_bscs: np.ndarray = field(repr=False, compare=False)
     execution_times_ms: np.ndarray = field(repr=False, compare=False)
     slices: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        columns = (self.call_ids, self.serving_bscs, self.execution_times_ms, self.slices)
+        lengths = sorted({len(column) for column in columns})
+        codes, pools = self.serving_bscs, list(self.bsc_channels)
+        # codes first: bincount raises ValueError on a bad one, which main maps to exit 2
+        if (
+            len(lengths) > 1
+            or codes.min(initial=NO_BSC) < NO_BSC
+            or codes.max(initial=NO_BSC) >= len(pools)
+            or any(used > pool for used, pool in zip(self.per_bsc_handled.values(), pools))
+        ):
+            served = dict(zip(*(a.tolist() for a in np.unique(codes, return_counts=True))))
+            raise RuntimeError(
+                f"{self.system} report breaks conservation: columns of lengths {lengths}, "
+                f"calls per serving BSC {served}, pools {pools}"
+            )
+
+    @cached_property
+    def per_bsc_handled(self) -> dict[BscId, int]:
+        served = self.serving_bscs[self.serving_bscs != NO_BSC]
+        return dict(enumerate(np.bincount(served, minlength=len(self.bsc_channels)).tolist()))
+
+    @property
+    def accepted_home(self) -> int:
+        return self.per_bsc_handled[HOME_BSC]
+
+    @property
+    def handed_over(self) -> int:
+        return sum(self.per_bsc_handled.values()) - self.accepted_home
+
+    @property
+    def blocked(self) -> int:
+        return len(self.call_ids) - sum(self.per_bsc_handled.values())
+
+    @property
+    def empirical_blocking(self) -> float:
+        n_calls = len(self.call_ids)
+        return self.blocked / n_calls if n_calls else 0.0
 
     @cached_property
     def records(self) -> tuple[CallRecord, ...]:
@@ -136,8 +174,14 @@ class SimulationReport:
 class ComparisonReport:
     normal: SimulationReport
     load_balanced: SimulationReport
-    blocking_delta_pp: float
-    execution_time_delta_ms: float
+
+    @property
+    def blocking_delta_pp(self) -> float:
+        return (self.normal.empirical_blocking - self.load_balanced.empirical_blocking) * 100.0
+
+    @property
+    def execution_time_delta_ms(self) -> float:
+        return self.normal.total_execution_time_ms - self.load_balanced.total_execution_time_ms
 
 
 class UndefinedQuantum(ValueError):
@@ -213,54 +257,6 @@ def _check_sorted(calls: Workload) -> None:
         )
 
 
-def _report(
-    system: str,
-    pools: list[int],
-    handled: list[int],
-    blocked: int,
-    total_execution_time_ms: float,
-    quantum_ms: float | None,
-    call_ids: np.ndarray,
-    serving_bscs: np.ndarray,
-    execution_times_ms: np.ndarray,
-    slices: np.ndarray,
-) -> SimulationReport:
-    """The report of a run in which BSC b took handled[b] calls out of its
-    pools[b] channels and `blocked` calls were refused; the columns hold
-    each call's outcome in arrival order.
-
-    Raises RuntimeError, an internal fault, unless every call is counted
-    once and no pool is over-assigned.
-    """
-    n_calls = len(call_ids)
-    accepted_home = handled[HOME_BSC]
-    handed_over = sum(handled) - accepted_home
-    if (
-        accepted_home + handed_over + blocked != n_calls
-        or blocked < 0
-        or len(handled) != len(pools)
-        or not all(0 <= used <= pool for used, pool in zip(handled, pools))
-    ):
-        raise RuntimeError(
-            f"{system} report breaks conservation: BSCs handled {handled} "
-            f"of pools {pools} and blocked {blocked}, for {n_calls} calls"
-        )
-    return SimulationReport(
-        system=system,
-        accepted_home=accepted_home,
-        handed_over=handed_over,
-        blocked=blocked,
-        per_bsc_handled=dict(enumerate(handled)),
-        total_execution_time_ms=total_execution_time_ms,
-        empirical_blocking=blocked / n_calls if n_calls else 0.0,
-        quantum_ms=quantum_ms,
-        call_ids=call_ids,
-        serving_bscs=serving_bscs,
-        execution_times_ms=execution_times_ms,
-        slices=slices,
-    )
-
-
 def simulate_normal(
     topology: NetworkTopology,
     calls: Workload,
@@ -274,19 +270,18 @@ def simulate_normal(
     records carry zero execution time since they received no service.
     """
     _check_sorted(calls)
-    pools = list(topology.bsc_channels)
     n = len(calls)
-    home = min(n, pools[HOME_BSC])
+    home = min(n, topology.bsc_channels[HOME_BSC])
     charged = calls.arrival_ms + waiting_ms
     accepted = np.arange(n) < home
-    return _report(
-        NORMAL, pools, [home] + [0] * (len(pools) - 1), n - home, running_sum(charged), None,
-        calls.ids, np.where(accepted, HOME_BSC, NO_BSC), np.where(accepted, charged, 0.0),
+    return SimulationReport(
+        NORMAL, topology.bsc_channels, running_sum(charged), None, calls.ids,
+        np.where(accepted, HOME_BSC, NO_BSC), np.where(accepted, charged, 0.0),
         np.zeros(n, dtype=np.int64),
     )
 
 
-def _rotation_targets(capacities: list[int], count: int) -> np.ndarray:
+def _rotation_targets(capacities: tuple[int, ...], count: int) -> np.ndarray:
     """Index into capacities of the pool taking each of the first `count`
     handovers, which must not exceed the pools' total.
 
@@ -318,14 +313,13 @@ def simulate_load_balanced(
     if params is None:
         params = LbParams()
     _check_sorted(calls)
-    pools = list(topology.bsc_channels)
+    pools = topology.bsc_channels
     capacities = pools[HOME_BSC + 1:]
     n = len(calls)
     home = min(n, pools[HOME_BSC])
     serving = np.where(np.arange(n) < home, HOME_BSC, NO_BSC)
     times = np.where(serving == HOME_BSC, calls.arrival_ms + params.waiting_ms, 0.0)
     slices = np.zeros(n, dtype=np.int64)
-    handled = [home] + [0] * len(capacities)
     served = np.zeros(0, dtype=np.int64)  # handed-over calls, in the order they finish
     quantum = None
     if home < n:
@@ -343,14 +337,10 @@ def simulate_load_balanced(
         serving[served] = HOME_BSC + 1 + targets
         slices[served] = queue_slices[handed]
         times[served] = slices[served] * slice_execution_time(quantum, params.context_switch_ms)
-        handled[HOME_BSC + 1:] = np.bincount(targets, minlength=len(capacities)).tolist()
 
     # the system clock: home calls in arrival order, then handovers as they finish
     total = running_sum(times[served], start=running_sum(times[:home]))
-    return _report(
-        LOAD_BALANCED, pools, handled, n - home - len(served), total, quantum,
-        calls.ids, serving, times, slices,
-    )
+    return SimulationReport(LOAD_BALANCED, pools, total, quantum, calls.ids, serving, times, slices)
 
 
 def compare_systems(
@@ -363,9 +353,4 @@ def compare_systems(
         params = LbParams()
     ns = simulate_normal(topology, calls, waiting_ms=params.waiting_ms)
     lb = simulate_load_balanced(topology, calls, params)
-    return ComparisonReport(
-        normal=ns,
-        load_balanced=lb,
-        blocking_delta_pp=(ns.empirical_blocking - lb.empirical_blocking) * 100.0,
-        execution_time_delta_ms=ns.total_execution_time_ms - lb.total_execution_time_ms,
-    )
+    return ComparisonReport(ns, lb)

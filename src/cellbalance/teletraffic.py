@@ -56,7 +56,9 @@ class BlockingCurvePoint:
 def erlang_b(a: OfferedLoad, n_channels: int) -> float:
     """Blocking probability of an n-channel loss system offered a erlangs.
 
-    Recurrence: E(0) = 1, E(k) = A*E(k-1) / (k + A*E(k-1)).
+    Recurrence: E(0) = 1, E(k) = A*E(k-1) / (k + A*E(k-1)). The load is
+    finite, so once E(k) underflows to 0.0 every later step is 0.0 too and
+    the loop stops; until then it takes one step per channel.
     """
     if n_channels < 0:
         raise ValueError(f"n_channels = {n_channels}, need >= 0")
@@ -64,6 +66,8 @@ def erlang_b(a: OfferedLoad, n_channels: int) -> float:
     prob = 1.0
     for k in range(1, n_channels + 1):
         prob = load * prob / (k + load * prob)
+        if prob == 0.0:
+            break
     return prob
 
 

@@ -167,23 +167,44 @@ class TestRunCommand:
         assert doc["total_execution_time_ms"] == pytest.approx(87 * 1e15 * 1.1)
 
     def test_over_assigned_pool_is_internal_error(self, capsys, monkeypatch):
-        """A rotation that sends every handover to one pool breaks the
-        report's conservation check: an internal fault, not a usage error."""
-        monkeypatch.setattr(
-            engine, "_rotation_targets", lambda capacities, count: np.zeros(count, dtype=int)
-        )
-        code = main(["run", "lb", "--bsc-channels", "1,1,1", "--calls", "3"])
-        assert code == EXIT_INTERNAL
-        assert capsys.readouterr().err.startswith("internal error")
+        """A rotation that sends every handover to one pool, or to a pool
+        that does not exist, breaks the report's conservation check: an
+        internal fault, not a usage error."""
+        for rotation in (
+            lambda capacities, count: np.zeros(count, dtype=int),
+            lambda capacities, count: np.full(count, len(capacities)),
+        ):
+            monkeypatch.setattr(engine, "_rotation_targets", rotation)
+            code = main(["run", "lb", "--bsc-channels", "1,1,1", "--calls", "3"])
+            assert code == EXIT_INTERNAL
+            assert capsys.readouterr().err.startswith("internal error")
 
 
 @pytest.mark.parametrize("argv", [["run", "lb"], ["compare"], ["sweep", "0:10:5"], ["gen"]])
 @pytest.mark.parametrize("missing_dir", [True, False])
 def test_unwritable_output_exit_2(tmp_path, capsys, argv, missing_dir):
-    """Used to exit 1 with `internal error: [Errno ...]`."""
+    """Used to exit 1 with `internal error: [Errno ...]`. The path is opened
+    before any work, so nothing reaches stdout."""
     path = tmp_path / "missing" / "out" if missing_dir else tmp_path
     assert main(argv + ["--output", str(path)]) == EXIT_USAGE
-    assert f"cannot write output '{path}'" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"cannot write output '{path}'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["run", "lb"], ["compare"]])
+@pytest.mark.parametrize("format_in_file", [False, True])
+def test_full_with_csv_exit_2(tmp_path, capsys, command, format_in_file):
+    """--full used to be ignored under CSV, which never holds the records."""
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("format = csv\n" if format_in_file else "")
+    flags = [] if format_in_file else ["--format", "csv"]
+    out = tmp_path / "out.csv"
+    argv = command + ["--config", str(cfg), "--full", *flags, "--output", str(out)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--full" in captured.err and "format is csv" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -319,6 +340,11 @@ class TestErlangCommand:
 
     def test_negative_channels_exit_2(self):
         assert main(["erlang", "--a", "1", "--n", "-2"]) == EXIT_USAGE
+
+    def test_underflow_stops_the_recurrence(self, capsys):
+        """Once E(k) is 0.0 every later step is too; 10^9 steps took minutes."""
+        assert main(["erlang", "--a", "1", "--n", "1000000000"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "0.000000"
 
 
 class TestGenAndReplay:

@@ -11,9 +11,10 @@ from cellbalance.engine import (
     LOAD_BALANCED,
     NORMAL,
     CallRecord,
+    ComparisonReport,
     Disposition,
     LbParams,
-    _report,
+    SimulationReport,
     compare_systems,
     compute_quantum,
     simulate_load_balanced,
@@ -166,21 +167,39 @@ class TestLbParams:
                 LbParams(quantum_override_ms=bad)
 
 
-def columns(n):
-    """Per-call columns of n calls; the checks below read only their length."""
-    return np.arange(n), np.zeros(n, dtype=int), np.zeros(n), np.zeros(n, dtype=int)
+def report(serving_bscs, pools=(1, 1, 1), n=None):
+    """A load-balanced report of calls served by `serving_bscs`, with n
+    entries (default: one per serving BSC) in the other columns."""
+    n = len(serving_bscs) if n is None else n
+    return SimulationReport(
+        LOAD_BALANCED, pools, 0.0, None, np.arange(n), np.asarray(serving_bscs, dtype=np.int64),
+        np.zeros(n), np.zeros(n, dtype=np.int64),
+    )
 
 
 class TestReport:
+    def test_counts_read_from_serving_column(self):
+        built = report([0, -1, 2, 1, -1, 2], pools=(1, 1, 2, 0))
+        assert built.per_bsc_handled == {0: 1, 1: 1, 2: 2, 3: 0}
+        assert (built.accepted_home, built.handed_over, built.blocked) == (1, 3, 2)
+        assert built.empirical_blocking == 2 / 6
+        assert report([]).empirical_blocking == 0.0
+
     def test_rejects_over_assigned_pool(self):
         with pytest.raises(RuntimeError, match="conservation"):
-            _report(LOAD_BALANCED, [1, 1, 1], [1, 2, 0], 0, 0.0, None, *columns(3))
+            report([0, 1, 1])
+
+    @pytest.mark.parametrize("bad_code", [-2, 3])
+    def test_rejects_serving_bsc_outside_pools(self, bad_code):
+        with pytest.raises(RuntimeError, match="conservation"):
+            report([0, bad_code, -1])
 
     def test_rejects_uncounted_calls(self):
+        """Columns of unequal length leave some call without an outcome."""
         with pytest.raises(RuntimeError, match="conservation"):
-            _report(LOAD_BALANCED, [1, 1, 1], [1, 1, 0], 0, 0.0, None, *columns(3))
+            report([0, 1, -1], n=4)
         with pytest.raises(RuntimeError, match="conservation"):
-            _report(NORMAL, [4, 1], [4, 0], -1, 0.0, None, *columns(3))
+            report([0, 1, -1], n=2)
 
 
 class TestSimulateNormal:
@@ -420,10 +439,23 @@ def test_overflow_identity_and_dominance(instance):
     calls = workload_of(arrivals, demand)
     ns = simulate_normal(topology, calls)
     lb = simulate_load_balanced(topology, calls, LbParams(quantum_override_ms=quantum))
-    overflow = max(0, len(calls) - channels[0])
+    n, home = len(calls), channels[0]
+    overflow = max(0, n - home)
     assert lb.handed_over + lb.blocked == overflow
     assert ns.blocked == overflow
     assert lb.blocked <= ns.blocked
+    # admission never reads arrivals: blocking is exact in n and the pools
+    assert ns.blocked == n - min(n, home)
+    assert lb.blocked == n - min(n, sum(channels))
+    # normal charges arrival + waiting to the overflow calls; load balancing
+    # charges k slices to each handed-over call instead
+    overflow_charge = sequential_sum(calls.arrival_ms[home:] + 3.0)
+    k = math.ceil(Fraction(demand) / Fraction(quantum))
+    slice_charge = sequential_sum([k * slice_execution_time(quantum, 0.1)] * lb.handed_over)
+    assert ComparisonReport(ns, lb).execution_time_delta_ms == pytest.approx(
+        overflow_charge - slice_charge,
+        abs=1e-12 * (ns.total_execution_time_ms + lb.total_execution_time_ms),
+    )
 
 
 @given(lb_instances())

@@ -65,7 +65,7 @@ def commands(draw) -> list[str]:
     if draw(st.booleans()):
         argv += ["--quantum", repr(draw(st.floats(0.01, 1.0)))]
     if argv[0] == "run" and draw(st.booleans()):
-        argv += ["--format", "csv"]
+        return argv + ["--format", "csv"]  # --full is refused with CSV
     return argv + (["--full"] if draw(st.booleans()) else [])
 
 
