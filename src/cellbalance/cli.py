@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -149,14 +149,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_calls(config: RunConfig, workload_path: str | None) -> tuple[Workload, dict]:
-    """The calls to simulate, sorted by arrival, and the report params that
-    say where they came from: the file's digest, or what generated them."""
+    """The calls to simulate, sorted by arrival and without positions, and
+    the report params that say where they came from: the file's digest, or
+    what generated them."""
     if workload_path:
         try:
             calls, digest = import_workload(workload_path)
         except (OSError, ValueError) as exc:
             raise ValueError(f"workload '{workload_path}': {exc}") from exc
-        return calls.sorted_by_arrival(), {"workload_sha256": digest}
+        calls = replace(calls, x_km=None, y_km=None).sorted_by_arrival()
+        return calls, {"workload_sha256": digest}
     params = config.workload_params
     source = {
         "seed": params.seed,
@@ -250,7 +252,7 @@ def _record_chunks(report: SimulationReport, outcome):
     or None)`, rendered once per serving BSC."""
     outcomes = {
         bsc: outcome(Disposition.of(bsc).value, None if bsc == NO_BSC else bsc)
-        for bsc in np.unique(report.serving_bscs).tolist()
+        for bsc in range(NO_BSC, len(report.bsc_channels))
     }
     for start in range(0, len(report.call_ids), CHUNK_CALLS):
         part = slice(start, start + CHUNK_CALLS)
@@ -457,7 +459,8 @@ def _cmd_erlang(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace, config: RunConfig, write) -> int:
-    format_workload(write, generate_workload(config.workload_params, config.topology))
+    calls = generate_workload(config.workload_params, config.topology, positions=True)
+    format_workload(write, calls)
     return EXIT_OK
 
 

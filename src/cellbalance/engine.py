@@ -272,13 +272,23 @@ def simulate_normal(
     _check_sorted(calls)
     n = len(calls)
     home = min(n, topology.bsc_channels[HOME_BSC])
-    charged = calls.arrival_ms + waiting_ms
-    accepted = np.arange(n) < home
+    serving, times = _home_admitted(calls, home, waiting_ms)
+    total = running_sum(calls.arrival_ms[home:] + waiting_ms, start=running_sum(times[:home]))
     return SimulationReport(
-        NORMAL, topology.bsc_channels, running_sum(charged), None, calls.ids,
-        np.where(accepted, HOME_BSC, NO_BSC), np.where(accepted, charged, 0.0),
+        NORMAL, topology.bsc_channels, total, None, calls.ids, serving, times,
         np.zeros(n, dtype=np.int64),
     )
+
+
+def _home_admitted(calls: Workload, home: int, waiting_ms: float) -> tuple[np.ndarray, np.ndarray]:
+    """The serving-BSC and execution-time columns once the first `home`
+    calls are admitted at home, each charged arrival + waiting; every other
+    call is blocked with zero time so far."""
+    serving = np.full(len(calls), NO_BSC)
+    serving[:home] = HOME_BSC
+    times = np.zeros(len(calls))
+    np.add(calls.arrival_ms[:home], waiting_ms, out=times[:home])
+    return serving, times
 
 
 def _rotation_targets(capacities: tuple[int, ...], count: int) -> np.ndarray:
@@ -292,7 +302,7 @@ def _rotation_targets(capacities: tuple[int, ...], count: int) -> np.ndarray:
     pools = np.asarray(capacities)
     rounds = min(int(pools.max(initial=0)), count)
     has_channel = np.arange(rounds)[:, None] < pools  # [round, pool]
-    return np.nonzero(has_channel)[1][:count]
+    return np.broadcast_to(np.arange(len(pools)), has_channel.shape)[has_channel][:count]
 
 
 def simulate_load_balanced(
@@ -317,8 +327,7 @@ def simulate_load_balanced(
     capacities = pools[HOME_BSC + 1:]
     n = len(calls)
     home = min(n, pools[HOME_BSC])
-    serving = np.where(np.arange(n) < home, HOME_BSC, NO_BSC)
-    times = np.where(serving == HOME_BSC, calls.arrival_ms + params.waiting_ms, 0.0)
+    serving, times = _home_admitted(calls, home, params.waiting_ms)
     slices = np.zeros(n, dtype=np.int64)
     served = np.zeros(0, dtype=np.int64)  # handed-over calls, in the order they finish
     quantum = None
@@ -327,9 +336,11 @@ def simulate_load_balanced(
             quantum = params.quantum_override_ms
         else:
             quantum = compute_quantum(average_arrival_range(calls.arrival_ms[home:]), float(n - home))
-        demands, demand_index = np.unique(calls.demand_ms[home:], return_inverse=True)
+        queued = calls.demand_ms[home:]
+        # with counts np.unique sorts; without, it hashes, which imports numpy.ma
+        demands = np.unique(queued, return_counts=True)[0]
         needed = np.array([slices_to_finish(d, quantum) for d in demands.tolist()], dtype=np.int64)
-        queue_slices = needed[demand_index]
+        queue_slices = needed[np.searchsorted(demands, queued)]
         # stable: calls finishing in the same pass keep queue order
         handed = np.argsort(queue_slices, kind="stable")[: sum(capacities)]
         targets = _rotation_targets(capacities, len(handed))

@@ -25,8 +25,6 @@ class OfferedLoad:
     """Traffic offered to a channel group, in erlangs."""
 
     erlangs: float
-    lambda_per_s: float | None = None
-    mu_per_s: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.erlangs < math.inf:
@@ -39,11 +37,7 @@ class OfferedLoad:
             raise ValueError(f"mu_per_s = {mu_per_s}, need finite and > 0")
         if not 0 <= lambda_per_s < math.inf:
             raise ValueError(f"lambda_per_s = {lambda_per_s}, need finite and >= 0")
-        return cls(
-            erlangs=lambda_per_s / mu_per_s,
-            lambda_per_s=lambda_per_s,
-            mu_per_s=mu_per_s,
-        )
+        return cls(lambda_per_s / mu_per_s)
 
 
 @dataclass(frozen=True)

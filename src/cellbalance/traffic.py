@@ -2,12 +2,13 @@
 
 Arrivals are uniform over a fixed window and positions uniform over the
 simulation square. One seed drives two independent RNG substreams (arrival
-times, positions) so regenerating with the same params is bit-identical.
+times, positions) so regenerating with the same params is bit-identical,
+and arrivals are the same whether or not positions are drawn.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,14 @@ INT64 = np.iinfo(np.int64)
 @dataclass(frozen=True, eq=False)
 class Workload:
     """Calls as columns, one row per call, in the workload file's order:
-    id, arrival time, position and handover work."""
+    id, arrival time, position and handover work. The engines never read a
+    position, so x_km and y_km are None unless the calls are to be written
+    to a workload file."""
 
     ids: np.ndarray
     arrival_ms: np.ndarray
-    x_km: np.ndarray
-    y_km: np.ndarray
+    x_km: np.ndarray | None
+    y_km: np.ndarray | None
     demand_ms: np.ndarray
 
     def __len__(self) -> int:
@@ -40,7 +43,8 @@ class Workload:
         """The same calls by arrival time; calls arriving together keep
         their order."""
         order = np.argsort(self.arrival_ms, kind="stable")
-        return Workload(*(getattr(self, f.name)[order] for f in fields(self)))
+        columns = (getattr(self, f.name) for f in fields(self))
+        return Workload(*(None if column is None else column[order] for column in columns))
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,12 @@ class WorkloadParams:
             raise ValueError(f"demand_ms = {self.demand_ms}, need finite and > 0")
 
 
-def generate_workload(params: WorkloadParams, topology: NetworkTopology) -> Workload:
-    """Draw n_calls requests, sorted by arrival time, ids dense from 0.
+def generate_workload(
+    params: WorkloadParams, topology: NetworkTopology, positions: bool = False
+) -> Workload:
+    """Draw n_calls requests, sorted by arrival time, ids dense from 0, each
+    demanding params.demand_ms (one read-only value for every call).
+    Positions are drawn only if asked for; otherwise x_km and y_km are None.
 
     Pure function of (params, topology): the seed is split into one
     substream per concern, so arrival draws never perturb position draws.
@@ -73,28 +81,35 @@ def generate_workload(params: WorkloadParams, topology: NetworkTopology) -> Work
     arrivals = np.random.default_rng(arrival_seq).uniform(
         0.0, params.arrival_window_ms, size=n
     )
-    positions = np.random.default_rng(position_seq).uniform(
-        0.0, topology.area_km, size=(n, 2)
-    )
-
     order = np.argsort(arrivals, kind="stable")
-    return Workload(
+    calls = Workload(
         ids=np.arange(n, dtype=np.int64),
         arrival_ms=arrivals[order],
-        x_km=positions[order, 0],
-        y_km=positions[order, 1],
-        demand_ms=np.full(n, params.demand_ms),
+        x_km=None,
+        y_km=None,
+        demand_ms=np.broadcast_to(params.demand_ms, n),
     )
+    if not positions:
+        return calls
+    xy = np.random.default_rng(position_seq).uniform(0.0, topology.area_km, size=(n, 2))
+    return replace(calls, x_km=xy[order, 0], y_km=xy[order, 1])
+
+
+SUM_CHUNK = 16384  # values accumulated at once: bounds the copy running_sum makes
 
 
 def running_sum(values, start: float = 0.0) -> float:
     """start + values[0] + values[1] + ..., added left to right as a loop
-    adds them.
+    adds them, SUM_CHUNK values at a time.
 
     np.sum adds pairwise and sum() compensates on Python 3.12+, so either
     would round differently and make reports depend on the versions used.
     """
-    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+    values = np.asarray(values, dtype=float)
+    total = float(start)
+    for begin in range(0, len(values), SUM_CHUNK):
+        total = float(np.cumsum(np.concatenate(([total], values[begin:begin + SUM_CHUNK])))[-1])
+    return total
 
 
 def average_arrival_range(arrival_ms: np.ndarray) -> float:
@@ -113,6 +128,8 @@ EXPORT_ROWS = 8192  # rows formatted per write: bounds the text held at once
 def format_workload(write, calls: Workload) -> None:
     """Write the calls as columnar text, one call per line, floats in full
     round-trip precision, EXPORT_ROWS lines per write."""
+    if calls.x_km is None or calls.y_km is None:
+        raise ValueError("a workload file holds positions: generate the calls with positions=True")
     write(WORKLOAD_HEADER + "\n")
     columns = [getattr(calls, f.name) for f in fields(calls)]
     for start in range(0, len(calls), EXPORT_ROWS):

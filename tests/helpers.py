@@ -23,11 +23,13 @@ def workload_of(arrivals, demands=0.4) -> Workload:
 
 
 def same_workload(a: Workload, b: Workload) -> bool:
-    """Equal column by column, dtypes included; NaN equals NaN."""
+    """Equal column by column, dtypes included; NaN equals NaN, and a
+    missing column (no positions) equals only a missing one."""
     return all(
-        np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
-        and getattr(a, f.name).dtype == getattr(b, f.name).dtype
-        for f in fields(Workload)
+        x is None and y is None
+        or x is not None and y is not None
+        and np.array_equal(x, y, equal_nan=True) and x.dtype == y.dtype
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(Workload))
     )
 
 

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cellbalance import engine
+import cellbalance
+from cellbalance import cli, engine
 from cellbalance.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -347,6 +352,19 @@ class TestErlangCommand:
         assert capsys.readouterr().out.strip() == "0.000000"
 
 
+def test_compare_full_leaves_numpy_ma_unimported(tmp_path):
+    """np.unique without counts or indices hashes, and imports numpy.ma
+    first: about 0.02 s and 1 MiB in every process that called it."""
+    script = (
+        "import sys; from cellbalance.cli import main; "
+        f"main(['compare', '--full', '--output', {str(tmp_path / 'r.json')!r}]); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cellbalance.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "False", done.stderr
+
+
 class TestGenAndReplay:
     def test_gen_writes_workload(self, tmp_path):
         out = tmp_path / "wl.csv"
@@ -395,6 +413,24 @@ class TestGenAndReplay:
         assert params["workload_sha256"] == hashlib.sha256(wl.read_bytes()).hexdigest()
         assert not {"seed", "arrival_window_ms", "demand_ms"} & set(params)
         assert params["n_calls"] == 20
+
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_run_holds_no_positions(self, tmp_path, monkeypatch, replay):
+        """Only gen writes positions: a run generates its calls without
+        them, and a replay drops the ones it parsed."""
+        wl = tmp_path / "wl.csv"
+        main(["gen", "--calls", "50", "--output", str(wl)])
+        simulated = []
+
+        def spy(topology, calls, params):
+            simulated.append(calls)
+            return engine.compare_systems(topology, calls, params)
+
+        monkeypatch.setattr(cli, "compare_systems", spy)
+        run_json(tmp_path, ["compare", *(["--workload", str(wl)] if replay else [])])
+        (calls,) = simulated
+        assert len(calls) == (50 if replay else 900)
+        assert calls.x_km is None and calls.y_km is None
 
     def test_replay_reports_file_call_count(self, tmp_path):
         """The report used to give the config default, 900."""

@@ -26,10 +26,7 @@ class TestOfferedLoad:
         assert OfferedLoad(2.0).erlangs == 2.0
 
     def test_from_rates(self):
-        load = OfferedLoad.from_rates(4.0, 2.0)
-        assert load.erlangs == 2.0
-        assert load.lambda_per_s == 4.0
-        assert load.mu_per_s == 2.0
+        assert OfferedLoad.from_rates(4.0, 2.0) == OfferedLoad(2.0)
 
     def test_rejects_negative_load(self):
         for bad in (-1.0, math.nan, math.inf):

@@ -6,6 +6,7 @@ from helpers import same_workload, sequential_sum, workload_of
 from hypothesis import example, given, settings, strategies as st
 from oracles import import_workload_oracle
 
+from cellbalance import traffic
 from cellbalance.topology import NetworkTopology
 from cellbalance.traffic import (
     DEFAULT_ARRIVAL_WINDOW_MS,
@@ -28,7 +29,7 @@ TOPO = NetworkTopology()
 
 class TestGenerateWorkload:
     def test_default_scenario_shape(self):
-        calls = generate_workload(WorkloadParams(n_calls=900), TOPO)
+        calls = generate_workload(WorkloadParams(n_calls=900), TOPO, positions=True)
         assert len(calls) == 900
         assert calls.ids.tolist() == list(range(900))
         assert all(0.0 <= t < DEFAULT_ARRIVAL_WINDOW_MS for t in calls.arrival_ms)
@@ -57,7 +58,8 @@ class TestGenerateWorkload:
         assert len(calls) == 10
 
     def test_zero_calls(self):
-        assert same_workload(generate_workload(WorkloadParams(n_calls=0), TOPO), workload_of([]))
+        calls = generate_workload(WorkloadParams(n_calls=0), TOPO, positions=True)
+        assert same_workload(calls, workload_of([]))
 
     def test_arrival_mean_near_window_center(self):
         """Uniform sanity check: 10k draws put the mean within 5% of w/2."""
@@ -67,13 +69,29 @@ class TestGenerateWorkload:
         assert abs(mean - center) < 0.05 * center
 
     def test_positions_cover_quadrants(self):
-        calls = generate_workload(WorkloadParams(n_calls=10_000, seed=11), TOPO)
+        calls = generate_workload(WorkloadParams(n_calls=10_000, seed=11), TOPO, positions=True)
         half = TOPO.area_km / 2
         counts = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
         for x, y in zip(calls.x_km, calls.y_km):
             counts[(bool(x >= half), bool(y >= half))] += 1
         for quadrant in counts.values():
             assert 0.20 <= quadrant / len(calls) <= 0.30
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(0, 500), seed=st.integers(-2**63, 2**64 - 1),
+           demand=st.floats(min_value=5e-324, allow_infinity=False))
+    def test_positions_leave_the_calls_bit_identical(self, n, seed, demand):
+        """Positions come from their own substream: drawing them or not
+        changes no bit of the ids, arrivals or demands."""
+        params = WorkloadParams(n_calls=n, seed=seed, demand_ms=demand)
+        calls = generate_workload(params, TOPO)
+        placed = generate_workload(params, TOPO, positions=True)
+        assert calls.x_km is None and calls.y_km is None
+        assert len(placed.x_km) == len(placed.y_km) == n
+        for name in ("ids", "arrival_ms", "demand_ms"):
+            column, placed_column = getattr(calls, name), getattr(placed, name)
+            assert column.dtype == placed_column.dtype
+            assert column.tobytes() == placed_column.tobytes()
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="n_calls"):
@@ -108,26 +126,31 @@ class TestAverageArrivalRange:
 @given(
     values=st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=50),
     start=st.floats(min_value=-1e6, max_value=1e6),
+    chunk=st.one_of(st.just(traffic.SUM_CHUNK), st.integers(min_value=1, max_value=8)),
 )
-def test_running_sum_matches_loop(values, start):
-    assert running_sum(values, start) == sequential_sum([start] + values)
+def test_running_sum_matches_loop(values, start, chunk):
+    """Also with chunks a few values long, so the total carries across them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traffic, "SUM_CHUNK", chunk)
+        assert running_sum(values, start) == sequential_sum([start] + values)
 
 
 class TestWorkloadFiles:
     def test_round_trip_bit_identical(self, tmp_path):
-        calls = generate_workload(WorkloadParams(n_calls=64, seed=5), TOPO)
+        calls = generate_workload(WorkloadParams(n_calls=64, seed=5), TOPO, positions=True)
         path = tmp_path / "calls.csv"
         export_workload(calls, path)
         assert same_workload(import_workload(path)[0], calls)
 
     def test_round_trip_across_parse_blocks(self, tmp_path):
-        calls = generate_workload(WorkloadParams(n_calls=2 * PARSE_ROWS + 1, seed=5), TOPO)
+        params = WorkloadParams(n_calls=2 * PARSE_ROWS + 1, seed=5)
+        calls = generate_workload(params, TOPO, positions=True)
         path = tmp_path / "calls.csv"
         export_workload(calls, path)
         assert same_workload(import_workload(path)[0], calls)
 
     def test_format_header_and_width(self):
-        calls = generate_workload(WorkloadParams(n_calls=3, seed=5), TOPO)
+        calls = generate_workload(WorkloadParams(n_calls=3, seed=5), TOPO, positions=True)
         parts = []
         format_workload(parts.append, calls)
         text = "".join(parts)
@@ -135,6 +158,11 @@ class TestWorkloadFiles:
         assert lines[0] == WORKLOAD_HEADER
         assert len(lines) == 4
         assert all(len(ln.split(",")) == 5 for ln in lines[1:])
+
+    def test_format_refuses_calls_without_positions(self):
+        calls = generate_workload(WorkloadParams(n_calls=3, seed=5), TOPO)
+        with pytest.raises(ValueError, match="positions"):
+            format_workload([].append, calls)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -174,7 +202,7 @@ class TestWorkloadFiles:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=1, max_value=40), seed=st.integers(0, 2**32 - 1))
     def test_round_trip_any_seed(self, tmp_path_factory, n, seed):
-        calls = generate_workload(WorkloadParams(n_calls=n, seed=seed), TOPO)
+        calls = generate_workload(WorkloadParams(n_calls=n, seed=seed), TOPO, positions=True)
         path = tmp_path_factory.mktemp("wl") / "calls.csv"
         export_workload(calls, path)
         assert same_workload(import_workload(path)[0], calls)
