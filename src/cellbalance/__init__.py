@@ -9,7 +9,6 @@ rates in context.
 from .engine import (
     CallRecord,
     ComparisonReport,
-    Disposition,
     LbParams,
     SimulationReport,
     compare_systems,
@@ -30,7 +29,6 @@ from .traffic import (
     Workload,
     WorkloadParams,
     average_arrival_range,
-    export_workload,
     generate_workload,
     import_workload,
 )
@@ -42,7 +40,6 @@ __all__ = [
     "BscId",
     "CallRecord",
     "ComparisonReport",
-    "Disposition",
     "LbParams",
     "NetworkTopology",
     "OfferedLoad",
@@ -54,7 +51,6 @@ __all__ = [
     "compare_systems",
     "compute_quantum",
     "erlang_b",
-    "export_workload",
     "format_blocking_csv",
     "generate_workload",
     "import_workload",

@@ -19,11 +19,11 @@ import numpy as np
 from .engine import (
     NO_BSC,
     ComparisonReport,
-    Disposition,
     LbParams,
     SimulationReport,
     UndefinedQuantum,
     compare_systems,
+    disposition,
     simulate_load_balanced,
     simulate_normal,
 )
@@ -251,7 +251,7 @@ def _record_chunks(report: SimulationReport, outcome):
     disposition and serving BSC fields, `outcome(disposition, serving BSC
     or None)`, rendered once per serving BSC."""
     outcomes = {
-        bsc: outcome(Disposition.of(bsc).value, None if bsc == NO_BSC else bsc)
+        bsc: outcome(disposition(bsc), None if bsc == NO_BSC else bsc)
         for bsc in range(NO_BSC, len(report.bsc_channels))
     }
     for start in range(0, len(report.call_ids), CHUNK_CALLS):

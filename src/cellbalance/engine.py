@@ -20,7 +20,6 @@ left, round after round, whatever the calls are.
 
 import math
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -37,26 +36,23 @@ LOAD_BALANCED = "load_balanced"
 NO_BSC = -1  # serving BSC of a blocked call in a report's per-call column
 
 
-class Disposition(Enum):
-    ACCEPTED_HOME = "accepted_home"
-    HANDED_OVER = "handed_over"
-    BLOCKED = "blocked"
-
-    @classmethod
-    def of(cls, serving_bsc: BscId) -> "Disposition":
-        """The disposition of a call by its serving BSC in a report column."""
-        if serving_bsc == NO_BSC:
-            return cls.BLOCKED
-        return cls.ACCEPTED_HOME if serving_bsc == HOME_BSC else cls.HANDED_OVER
+def disposition(serving_bsc: BscId) -> str:
+    """What a report writer prints for a call by its serving BSC in a report
+    column: accepted_home, handed_over or blocked."""
+    if serving_bsc == NO_BSC:
+        return "blocked"
+    return "accepted_home" if serving_bsc == HOME_BSC else "handed_over"
 
 
 @dataclass(frozen=True)
 class CallRecord:
-    """Outcome of one call. Blocked calls carry zero time and zero slices
-    even if they sat in the ready queue for a while before draining."""
+    """Outcome of one call, built by SimulationReport.records, which is kept
+    only for the benchmark's traced reader; everything else reads the
+    report's columns. Blocked calls carry zero time and zero slices even if
+    they sat in the ready queue for a while before draining."""
 
     call_id: int
-    disposition: Disposition
+    disposition: str
     serving_bsc: BscId | None
     execution_time_ms: float
     slices_used: int
@@ -81,7 +77,7 @@ class LbParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationReport:
     """One run: its totals and its per-call columns in arrival order: call
     id, serving BSC (NO_BSC when blocked), execution time and round-robin
@@ -90,18 +86,18 @@ class SimulationReport:
 
     Raises RuntimeError, an internal fault, unless the columns have one
     length, every serving BSC is NO_BSC or the index of a pool, and no pool
-    is over-assigned. `records` (per-call outcomes) is built from the
-    columns on first read; equality and repr include them.
+    is over-assigned. Two reports are equal when their scalar fields are
+    and their columns hold equal values.
     """
 
     system: str
     bsc_channels: tuple[int, ...]
     total_execution_time_ms: float
     quantum_ms: float | None
-    call_ids: np.ndarray = field(repr=False, compare=False)
-    serving_bscs: np.ndarray = field(repr=False, compare=False)
-    execution_times_ms: np.ndarray = field(repr=False, compare=False)
-    slices: np.ndarray = field(repr=False, compare=False)
+    call_ids: np.ndarray = field(repr=False)
+    serving_bscs: np.ndarray = field(repr=False)
+    execution_times_ms: np.ndarray = field(repr=False)
+    slices: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         columns = (self.call_ids, self.serving_bscs, self.execution_times_ms, self.slices)
@@ -142,32 +138,27 @@ class SimulationReport:
         n_calls = len(self.call_ids)
         return self.blocked / n_calls if n_calls else 0.0
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimulationReport):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
     @cached_property
     def records(self) -> tuple[CallRecord, ...]:
+        """The columns as one CallRecord per call, for the benchmark's traced
+        reader only."""
         columns = (self.call_ids, self.serving_bscs, self.execution_times_ms, self.slices)
         return tuple(
             CallRecord(
                 call_id=call_id,
-                disposition=Disposition.of(bsc),
+                disposition=disposition(bsc),
                 serving_bsc=None if bsc == NO_BSC else bsc,
                 execution_time_ms=time_ms,
                 slices_used=k,
             )
             for call_id, bsc, time_ms, k in zip(*(column.tolist() for column in columns))
         )
-
-    def _compared(self) -> dict:
-        values = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
-        return {**values, "records": self.records}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimulationReport):
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={value!r}" for name, value in self._compared().items())
-        return f"SimulationReport({inner})"
 
 
 @dataclass(frozen=True)
@@ -267,7 +258,7 @@ def simulate_normal(
 
     The system clock charges arrival + waiting for every examined request;
     blocked requests spend that time too before rejection, but their
-    records carry zero execution time since they received no service.
+    execution time in the report is zero since they received no service.
     """
     _check_sorted(calls)
     n = len(calls)
@@ -308,7 +299,7 @@ def _rotation_targets(capacities: tuple[int, ...], count: int) -> np.ndarray:
 def simulate_load_balanced(
     topology: NetworkTopology,
     calls: Workload,
-    params: LbParams | None = None,
+    params: LbParams = LbParams(),
 ) -> SimulationReport:
     """Admission with round-robin handover of the overload to neighbor BSCs.
 
@@ -320,8 +311,6 @@ def simulate_load_balanced(
     exhausted pools, advancing one position per assignment). Once no
     neighbor has a channel left, the rest of the queue is blocked.
     """
-    if params is None:
-        params = LbParams()
     _check_sorted(calls)
     pools = topology.bsc_channels
     capacities = pools[HOME_BSC + 1:]
@@ -357,11 +346,9 @@ def simulate_load_balanced(
 def compare_systems(
     topology: NetworkTopology,
     calls: Workload,
-    params: LbParams | None = None,
+    params: LbParams = LbParams(),
 ) -> ComparisonReport:
     """Run both systems on the identical workload and report the deltas."""
-    if params is None:
-        params = LbParams()
     ns = simulate_normal(topology, calls, waiting_ms=params.waiting_ms)
     lb = simulate_load_balanced(topology, calls, params)
     return ComparisonReport(ns, lb)

@@ -78,13 +78,11 @@ def blocking_sweep(
     topology: NetworkTopology,
     load_levels: list[int],
     seed: int,
-    lb_params: LbParams | None = None,
+    lb_params: LbParams = LbParams(),
     arrival_window_ms: float = DEFAULT_ARRIVAL_WINDOW_MS,
     demand_ms: float = DEFAULT_DEMAND_MS,
 ) -> list[BlockingCurvePoint]:
     """Run both systems at each load level and record empirical blocking."""
-    if lb_params is None:
-        lb_params = LbParams()
     previous = None
     for n in load_levels:
         if n < 0:

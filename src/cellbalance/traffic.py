@@ -127,7 +127,8 @@ EXPORT_ROWS = 8192  # rows formatted per write: bounds the text held at once
 
 def format_workload(write, calls: Workload) -> None:
     """Write the calls as columnar text, one call per line, floats in full
-    round-trip precision, EXPORT_ROWS lines per write."""
+    round-trip precision, EXPORT_ROWS lines per write: a workload file that
+    import_workload reads back bit-identically."""
     if calls.x_km is None or calls.y_km is None:
         raise ValueError("a workload file holds positions: generate the calls with positions=True")
     write(WORKLOAD_HEADER + "\n")
@@ -137,14 +138,8 @@ def format_workload(write, calls: Workload) -> None:
         write("".join(f"{i},{t!r},{x!r},{y!r},{d!r}\n" for i, t, x, y, d in rows))
 
 
-def export_workload(calls: Workload, path: str | Path) -> None:
-    """Write a workload file that import_workload reads back bit-identically."""
-    with open(path, "w") as fh:
-        format_workload(fh.write, calls)
-
-
 def import_workload(path: str | Path) -> tuple[Workload, str]:
-    """Read a workload file written by export_workload: its calls, in file
+    """Read a workload file written by format_workload: its calls, in file
     order, and the sha256 of its bytes.
 
     Rejects, naming the line, a row without five fields, a field that does

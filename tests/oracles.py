@@ -33,6 +33,29 @@ HANDED = "handed_over"
 BLOCKED = "blocked"
 
 
+def outcome_of(serving_bsc: int) -> tuple[str, int | None]:
+    """A report's serving-BSC code as (disposition, serving BSC): -1 is a
+    blocked call, which has no serving BSC, 0 the home BSC and any other
+    code a neighbor."""
+    if serving_bsc == -1:
+        return BLOCKED, None
+    return (ACCEPTED if serving_bsc == 0 else HANDED), serving_bsc
+
+
+def report_calls(report):
+    """(call id, disposition, serving BSC, execution time, slices) per call,
+    read from a report's columns."""
+    columns = (report.call_ids, report.serving_bscs, report.execution_times_ms, report.slices)
+    for call_id, bsc, time_ms, k in zip(*(column.tolist() for column in columns)):
+        yield (call_id, *outcome_of(bsc), time_ms, k)
+
+
+def report_outcomes(report) -> dict:
+    """{call_id: (disposition, serving BSC, slices)} of a report, in the
+    form walk_flowchart returns."""
+    return {call_id: (disp, bsc, k) for call_id, disp, bsc, _, k in report_calls(report)}
+
+
 def walk_flowchart(home_free, neighbor_free, calls, quantum):
     """Literal walk of the admission flow, one state transition at a time.
 
@@ -138,9 +161,8 @@ def slices_to_finish_loop(demand_ms: float, quantum_ms: float) -> int:
 
 
 # The report writers as they were before `--full` and CSV were streamed from
-# the per-call columns: one dict per `report.records` entry, then
-# json.dumps(indent=2), and one f-string per record for CSV. The streamed
-# writers must produce the same bytes.
+# the per-call columns: one dict per call, then json.dumps(indent=2), and one
+# f-string per call for CSV. The streamed writers must produce the same bytes.
 
 
 def report_document_oracle(report, params: dict, full: bool) -> dict:
@@ -159,13 +181,13 @@ def report_document_oracle(report, params: dict, full: bool) -> dict:
     if full:
         doc["records"] = [
             {
-                "call_id": r.call_id,
-                "disposition": r.disposition.value,
-                "serving_bsc": r.serving_bsc,
-                "execution_time_ms": r.execution_time_ms,
-                "slices_used": r.slices_used,
+                "call_id": call_id,
+                "disposition": disposition,
+                "serving_bsc": bsc,
+                "execution_time_ms": time_ms,
+                "slices_used": k,
             }
-            for r in report.records
+            for call_id, disposition, bsc, time_ms, k in report_calls(report)
         ]
     return doc
 
@@ -183,11 +205,8 @@ def comparison_document_oracle(comparison, params: dict, full: bool) -> dict:
 
 def records_csv_oracle(report) -> str:
     lines = ["call_id,disposition,serving_bsc,execution_time_ms,slices_used"]
-    for r in report.records:
-        bsc = "" if r.serving_bsc is None else str(r.serving_bsc)
-        lines.append(
-            f"{r.call_id},{r.disposition.value},{bsc},{r.execution_time_ms!r},{r.slices_used}"
-        )
+    for call_id, disposition, bsc, time_ms, k in report_calls(report):
+        lines.append(f"{call_id},{disposition},{'' if bsc is None else bsc},{time_ms!r},{k}")
     return "\n".join(lines) + "\n"
 
 

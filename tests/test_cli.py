@@ -266,6 +266,16 @@ class TestCompareCommand:
         assert lines[1].startswith("normal,")
         assert lines[2].startswith("load_balanced,")
 
+    def test_paper_headline_numbers_from_one_run(self, tmp_path):
+        """The paper's -722,626 ms and -20% blocking, both from one run on
+        the default pools: 3640 calls overflow the 1041 channels by exactly
+        728 / 3640 = 20 pp, and this window makes the time delta 722,626 ms
+        at seed 42 (716,605 to 728,193 ms over seeds 1 to 5)."""
+        doc = run_json(tmp_path, ["compare", "--calls", "3640", "--window",
+                                  "395.8421542742645", "--seed", "42"])
+        assert round(doc["deltas"]["execution_time_delta_ms"]) == 722626
+        assert round(doc["deltas"]["blocking_delta_pp"], 6) == 20.0
+
 
 class TestSweepCommand:
     def test_range_sweep_shape_and_dominance(self, tmp_path):
@@ -350,6 +360,26 @@ class TestErlangCommand:
         """Once E(k) is 0.0 every later step is too; 10^9 steps took minutes."""
         assert main(["erlang", "--a", "1", "--n", "1000000000"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "0.000000"
+
+
+def test_cli_never_reads_records(tmp_path, monkeypatch):
+    """Every document is written from the report's columns: a read of
+    SimulationReport.records would exit 1."""
+
+    def refuse(report):
+        raise AssertionError("the CLI read SimulationReport.records")
+
+    monkeypatch.setattr(engine.SimulationReport, "records", property(refuse))
+    wl = tmp_path / "wl.csv"
+    assert main(["gen", "--calls", "50", "--output", str(wl)]) == EXIT_OK
+    for argv in (
+        ["run", "lb", "--full"],
+        ["run", "normal", "--format", "csv"],
+        ["compare", "--full"],
+        ["sweep", "0:300:100"],
+        ["compare", "--full", "--workload", str(wl)],
+    ):
+        assert main(argv + ["--output", str(tmp_path / "out")]) == EXIT_OK, argv
 
 
 def test_compare_full_leaves_numpy_ma_unimported(tmp_path):

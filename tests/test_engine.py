@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +11,10 @@ from oracles import slices_to_finish_loop
 
 from cellbalance.engine import (
     LOAD_BALANCED,
+    NO_BSC,
     NORMAL,
     CallRecord,
     ComparisonReport,
-    Disposition,
     LbParams,
     SimulationReport,
     compare_systems,
@@ -23,7 +24,7 @@ from cellbalance.engine import (
     slice_execution_time,
     slices_to_finish,
 )
-from cellbalance.topology import NetworkTopology
+from cellbalance.topology import HOME_BSC, NetworkTopology
 from cellbalance.traffic import WorkloadParams, generate_workload
 
 DEFAULT_TOPO = NetworkTopology()
@@ -202,6 +203,25 @@ class TestReport:
         with pytest.raises(RuntimeError, match="conservation"):
             report([0, 1, -1], n=2)
 
+    def test_equality_reads_scalars_and_columns(self):
+        built = report([0, 1, -1])
+        assert built == report([0, 1, -1])
+        assert built != report([0, -1, 1])
+        assert built != replace(built, quantum_ms=1.0)
+
+    def test_records_match_columns(self):
+        """records, kept for the benchmark's traced reader, is the columns
+        as one CallRecord per call."""
+        built = simulate_load_balanced(
+            topo(1, 1, 1), workload_of([1, 2, 3, 4], 1.2), LbParams(quantum_override_ms=1.0)
+        )
+        assert built.records == (
+            CallRecord(0, "accepted_home", 0, 4.0, 0),
+            CallRecord(1, "handed_over", 1, 2 * 1.1, 2),
+            CallRecord(2, "handed_over", 2, 2 * 1.1, 2),
+            CallRecord(3, "blocked", None, 0.0, 0),
+        )
+
 
 class TestSimulateNormal:
     def test_default_scenario_counts(self):
@@ -216,17 +236,17 @@ class TestSimulateNormal:
     def test_per_call_execution_formula(self):
         """Three calls under ample capacity: time = arrival + waiting."""
         report = simulate_normal(topo(5, 5), workload_of([1, 2, 4]), waiting_ms=3.0)
-        assert [r.execution_time_ms for r in report.records] == [4.0, 5.0, 7.0]
+        assert report.execution_times_ms.tolist() == [4.0, 5.0, 7.0]
         assert report.total_execution_time_ms == 16.0
 
     def test_total_charges_blocked_calls_too(self):
         """The system clock runs for every examined request, but blocked
-        records themselves carry zero execution time."""
+        calls themselves carry zero execution time."""
         report = simulate_normal(topo(1, 1), workload_of([1, 2, 4]), waiting_ms=3.0)
         assert report.accepted_home == 1
         assert report.blocked == 2
         assert report.total_execution_time_ms == 16.0
-        assert [r.execution_time_ms for r in report.records] == [4.0, 0.0, 0.0]
+        assert report.execution_times_ms.tolist() == [4.0, 0.0, 0.0]
 
     def test_empty_workload(self):
         report = simulate_normal(DEFAULT_TOPO, workload_of([]))
@@ -236,21 +256,13 @@ class TestSimulateNormal:
 
     def test_blocked_record_shape(self):
         report = simulate_normal(topo(0, 1), workload_of([1.0]))
-        rec = report.records[0]
-        assert rec.disposition is Disposition.BLOCKED
-        assert rec.serving_bsc is None
-        assert rec.execution_time_ms == 0.0
-        assert rec.slices_used == 0
+        assert report.serving_bscs.tolist() == [NO_BSC]
+        assert report.execution_times_ms.tolist() == [0.0]
+        assert report.slices.tolist() == [0]
 
     def test_first_come_first_served(self):
         report = simulate_normal(topo(2, 1), workload_of([1, 2, 3, 4]))
-        dispositions = [r.disposition for r in report.records]
-        assert dispositions == [
-            Disposition.ACCEPTED_HOME,
-            Disposition.ACCEPTED_HOME,
-            Disposition.BLOCKED,
-            Disposition.BLOCKED,
-        ]
+        assert report.serving_bscs.tolist() == [HOME_BSC, HOME_BSC, NO_BSC, NO_BSC]
 
     def test_rejects_unsorted_calls(self):
         calls = workload_of([5, 1])
@@ -281,9 +293,8 @@ class TestSimulateLoadBalanced:
         mean = sequential_sum(overflow) / len(overflow)
         assert report.quantum_ms == mean / 587.0
         cost = report.quantum_ms + 0.1
-        for rec in report.records[313:]:
-            assert rec.slices_used == 1
-            assert rec.execution_time_ms == cost
+        assert set(report.slices[313:].tolist()) == {1}
+        assert set(report.execution_times_ms[313:].tolist()) == {cost}
         oracle = math.fsum(calls.arrival_ms[:313] + 3.0) + 587 * cost
         assert report.total_execution_time_ms == pytest.approx(oracle, rel=1e-12)
 
@@ -295,35 +306,26 @@ class TestSimulateLoadBalanced:
         report = simulate_load_balanced(
             topo(1, 1, 1), calls, LbParams(quantum_override_ms=1.0)
         )
-        recs = {r.call_id: r for r in report.records}
-        assert recs[0].disposition is Disposition.ACCEPTED_HOME
-        assert recs[1].disposition is Disposition.HANDED_OVER
-        assert recs[1].serving_bsc == 1
-        assert recs[1].slices_used == 2
-        assert recs[1].execution_time_ms == 2 * 1.1
-        assert recs[2].disposition is Disposition.HANDED_OVER
-        assert recs[2].serving_bsc == 2
-        assert recs[2].slices_used == 2
-        assert recs[3].disposition is Disposition.BLOCKED
-        assert recs[3].serving_bsc is None
-        assert recs[3].slices_used == 0
-        assert recs[3].execution_time_ms == 0.0
+        assert report.call_ids.tolist() == [0, 1, 2, 3]
+        assert report.serving_bscs.tolist() == [HOME_BSC, 1, 2, NO_BSC]
+        assert report.slices.tolist() == [0, 2, 2, 0]
+        assert report.execution_times_ms.tolist() == [4.0, 2 * 1.1, 2 * 1.1, 0.0]
 
     def test_alternation_over_neighbors(self):
         calls = workload_of(range(1, 8), 1.0)
         report = simulate_load_balanced(
             topo(1, 3, 3), calls, LbParams(quantum_override_ms=1.0)
         )
-        targets = [r.serving_bsc for r in report.records if r.disposition is Disposition.HANDED_OVER]
-        assert targets == [1, 2, 1, 2, 1, 2]
+        targets = report.serving_bscs[report.serving_bscs > HOME_BSC]
+        assert targets.tolist() == [1, 2, 1, 2, 1, 2]
 
     def test_rotation_skips_exhausted_pool(self):
         calls = workload_of(range(1, 6), 1.0)
         report = simulate_load_balanced(
             topo(0, 1, 4), calls, LbParams(quantum_override_ms=1.0)
         )
-        targets = [r.serving_bsc for r in report.records if r.disposition is Disposition.HANDED_OVER]
-        assert targets == [1, 2, 2, 2, 2]
+        targets = report.serving_bscs[report.serving_bscs > HOME_BSC]
+        assert targets.tolist() == [1, 2, 2, 2, 2]
 
     def test_zero_capacity_neighbors_block_everything(self):
         calls = workload_of([1, 2, 3])
@@ -340,14 +342,12 @@ class TestSimulateLoadBalanced:
         ns = simulate_normal(topo(5, 1), calls)
         assert lb.quantum_ms is None
         assert lb.handed_over == lb.blocked == 0
-        assert [r.disposition for r in lb.records] == [r.disposition for r in ns.records]
-        assert [r.execution_time_ms for r in lb.records] == [
-            r.execution_time_ms for r in ns.records
-        ]
+        assert lb.serving_bscs.tolist() == ns.serving_bscs.tolist()
+        assert lb.execution_times_ms.tolist() == ns.execution_times_ms.tolist()
 
     def test_empty_workload(self):
         report = simulate_load_balanced(DEFAULT_TOPO, workload_of([]))
-        assert report.records == ()
+        assert len(report.call_ids) == 0
         assert report.empirical_blocking == 0.0
         assert report.quantum_ms is None
 
@@ -363,7 +363,7 @@ class TestSimulateLoadBalanced:
         report = simulate_load_balanced(
             topo(2, 2, 2), calls, LbParams(quantum_override_ms=1.0)
         )
-        assert [r.call_id for r in report.records] == calls.ids.tolist()
+        assert report.call_ids.tolist() == calls.ids.tolist()
 
     def test_rejects_unsorted_calls(self):
         with pytest.raises(ValueError, match="not sorted"):
@@ -486,12 +486,10 @@ def test_slice_accounting_exact(instance):
     report = simulate_load_balanced(topology, calls, params)
     expected_slices = math.ceil(Fraction(demand) / Fraction(quantum))
     cost = slice_execution_time(quantum, params.context_switch_ms)
-    for rec in report.records:
-        if rec.disposition is Disposition.HANDED_OVER:
-            assert rec.slices_used == expected_slices
-            assert rec.execution_time_ms == rec.slices_used * cost
-        else:
-            assert rec.slices_used == 0
+    handed = report.serving_bscs > HOME_BSC
+    assert set(report.slices[handed].tolist()) <= {expected_slices}
+    assert set(report.execution_times_ms[handed].tolist()) <= {expected_slices * cost}
+    assert not report.slices[~handed].any()
 
 
 @given(lb_instances())

@@ -7,7 +7,7 @@ counts.
 
 from helpers import sequential_sum, workload_of
 from hypothesis import example, given, settings, strategies as st
-from oracles import oracle_instances, walk_flowchart
+from oracles import oracle_instances, report_outcomes, walk_flowchart
 
 from cellbalance.engine import LbParams, simulate_load_balanced
 from cellbalance.topology import NetworkTopology
@@ -16,13 +16,6 @@ from cellbalance.topology import NetworkTopology
 def as_requests(calls):
     """Call ids 0..n-1 arriving at 1..n ms, as oracle_instances numbers them."""
     return workload_of([cid + 1 for cid, _ in calls], [demand for _, demand in calls])
-
-
-def engine_outcomes(report):
-    return {
-        r.call_id: (r.disposition.value, r.serving_bsc, r.slices_used)
-        for r in report.records
-    }
 
 
 def walker_outcomes(channels, calls, quantum):
@@ -37,7 +30,7 @@ def test_engine_matches_walker_exhaustively():
             topology, as_requests(calls), LbParams(quantum_override_ms=quantum)
         )
         expected = walker_outcomes(channels, calls, quantum)
-        assert engine_outcomes(report) == expected, (
+        assert report_outcomes(report) == expected, (
             f"divergence on channels={channels}, calls={calls}"
         )
         checked += 1
@@ -58,7 +51,7 @@ def test_engine_matches_walker_with_computed_quantum():
                     quantum = (sequential_sum(queued) / len(queued)) / len(queued)
                     report = simulate_load_balanced(topology, as_requests(calls))
                     expected = walker_outcomes(channels, calls, quantum)
-                    assert engine_outcomes(report) == expected
+                    assert report_outcomes(report) == expected
                     checked += 1
     assert checked == 81
 
@@ -102,7 +95,7 @@ def test_engine_matches_walker_on_float_demands(instance):
     expected, handover_order = walk_flowchart(
         channels[0], channels[1:], list(enumerate(demands)), quantum
     )
-    assert engine_outcomes(report) == expected
+    assert report_outcomes(report) == expected
 
     # the system clock: home calls in arrival order, then handovers as they complete
     total = 0.0

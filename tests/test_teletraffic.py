@@ -151,6 +151,28 @@ class TestBlockingSweep:
         assert points[0].lb_blocking == 0.0
         assert points[0].ns_blocking == 87 / 400
 
+    @pytest.mark.parametrize(
+        "pools, seed, levels",
+        [
+            ((313, 346, 382), 42, range(0, 3001, 10)),
+            ((5, 0, 3, 0), 7, range(40)),
+            ((0, 1), 3, range(10)),
+            ((1000, 1, 1), 9, range(0, 5001, 37)),
+        ],
+    )
+    def test_csv_equals_closed_form(self, pools, seed, levels):
+        """Admission never reads arrivals, so blocking is (n - min(n, H)) / n
+        without load balancing and (n - min(n, H + N)) / n with it, for a
+        home pool H and neighbor pools N in total; 0 with no calls."""
+        topology = NetworkTopology(bsc_channels=pools)
+        home, total = pools[0], sum(pools)
+        rows = "".join(
+            f"{n},{(n - min(n, home)) / (n or 1):.6f},{(n - min(n, total)) / (n or 1):.6f}\n"
+            for n in levels
+        )
+        points = blocking_sweep(topology, list(levels), seed=seed)
+        assert format_blocking_csv(points) == "n_calls,ns_blocking,lb_blocking\n" + rows
+
 
 class TestFormatBlockingCsv:
     def test_header_and_six_decimals(self):

@@ -17,7 +17,6 @@ from cellbalance.traffic import (
     Workload,
     WorkloadParams,
     average_arrival_range,
-    export_workload,
     format_workload,
     generate_workload,
     import_workload,
@@ -25,6 +24,12 @@ from cellbalance.traffic import (
 )
 
 TOPO = NetworkTopology()
+
+
+def export(calls, path):
+    """Write the calls to a workload file through format_workload, as gen does."""
+    with open(path, "w") as fh:
+        format_workload(fh.write, calls)
 
 
 class TestGenerateWorkload:
@@ -139,14 +144,14 @@ class TestWorkloadFiles:
     def test_round_trip_bit_identical(self, tmp_path):
         calls = generate_workload(WorkloadParams(n_calls=64, seed=5), TOPO, positions=True)
         path = tmp_path / "calls.csv"
-        export_workload(calls, path)
+        export(calls, path)
         assert same_workload(import_workload(path)[0], calls)
 
     def test_round_trip_across_parse_blocks(self, tmp_path):
         params = WorkloadParams(n_calls=2 * PARSE_ROWS + 1, seed=5)
         calls = generate_workload(params, TOPO, positions=True)
         path = tmp_path / "calls.csv"
-        export_workload(calls, path)
+        export(calls, path)
         assert same_workload(import_workload(path)[0], calls)
 
     def test_format_header_and_width(self):
@@ -204,7 +209,7 @@ class TestWorkloadFiles:
     def test_round_trip_any_seed(self, tmp_path_factory, n, seed):
         calls = generate_workload(WorkloadParams(n_calls=n, seed=seed), TOPO, positions=True)
         path = tmp_path_factory.mktemp("wl") / "calls.csv"
-        export_workload(calls, path)
+        export(calls, path)
         assert same_workload(import_workload(path)[0], calls)
 
 
@@ -228,7 +233,7 @@ def test_round_trip_adversarial_values_bit_for_bit(tmp_path_factory, rows):
     ids, *floats = zip(*rows) if rows else [()] * 5
     calls = Workload(np.array(ids, dtype=np.int64), *(np.array(c, dtype=float) for c in floats))
     path = tmp_path_factory.mktemp("wl") / "calls.csv"
-    export_workload(calls, path)
+    export(calls, path)
     back = import_workload(path)[0]
     assert np.array_equal(back.ids, calls.ids)
     for name in ("arrival_ms", "x_km", "y_km", "demand_ms"):
