@@ -9,6 +9,7 @@ notice, handover tallies).
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -40,6 +41,7 @@ from .traffic import (
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 
 @dataclass(frozen=True)
@@ -219,27 +221,27 @@ def comparison_document(comparison: ComparisonReport, params: dict, full: bool) 
     }
 
 
-def _holds_report(value) -> bool:
-    return isinstance(value, SimulationReport) or (
-        isinstance(value, dict) and any(map(_holds_report, value.values()))
-    )
+RECORDS_MARKER = "\0records"  # json.dumps's stand-in for a report: no document holds it
 
 
-def write_json(write, value, depth: int = 0) -> None:
-    """Write json.dumps(value, indent=2) as it reads `depth` levels deep in
-    a document. A SimulationReport in `value` stands for its per-call
-    records array: only the dicts that hold one are written key by key,
-    and the records are rendered from the report's columns."""
-    pad = "\n" + "  " * depth
-    if isinstance(value, SimulationReport):
-        _write_json_records(write, value, pad)
-    elif _holds_report(value):
-        for i, (key, item) in enumerate(value.items()):
-            write(("," if i else "{") + pad + "  " + json.dumps(key) + ": ")
-            write_json(write, item, depth + 1)
-        write(pad + "}")
-    else:
-        write(json.dumps(value, indent=2).replace("\n", pad))
+def write_json(write, doc: dict) -> None:
+    """Write json.dumps(doc, indent=2). A SimulationReport in `doc` stands
+    for its per-call records array, rendered from the report's columns where
+    json.dumps put its marker, indented as the line that holds the marker."""
+    reports = []
+
+    def marked(value) -> str:
+        if not isinstance(value, SimulationReport):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        reports.append(value)
+        return RECORDS_MARKER
+
+    *pieces, last = json.dumps(doc, indent=2, default=marked).split(json.dumps(RECORDS_MARKER))
+    for piece, report in zip(pieces, reports):
+        write(piece)
+        line = piece[piece.rfind("\n") + 1:]
+        _write_json_records(write, report, "\n" + " " * (len(line) - len(line.lstrip(" "))))
+    write(last)
 
 
 CHUNK_CALLS = 4096  # calls rendered per write: bounds the text held at once
@@ -363,11 +365,9 @@ def _quantum_named(workload_path: str | None):
 def _cmd_run(args: argparse.Namespace, config: RunConfig, write) -> int:
     topology = config.topology
     calls, source = _load_calls(config, args.workload)
-    if args.system == "normal":
-        report = simulate_normal(topology, calls, waiting_ms=config.lb_params.waiting_ms)
-    else:
-        with _quantum_named(args.workload):
-            report = simulate_load_balanced(topology, calls, config.lb_params)
+    simulate = simulate_normal if args.system == "normal" else simulate_load_balanced
+    with _quantum_named(args.workload):
+        report = simulate(topology, calls, config.lb_params)
     print(console_block(report, topology))
     if config.format == "json":
         params = report_params(config, report, source)
@@ -516,13 +516,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "erlang":
-            return args.handler(args)
-        config = resolve_config(args)
-        if getattr(args, "full", False) and config.format == "csv":
-            raise ValueError("--full adds per-call records to JSON only, and format is csv")
-        # opened before the work, so an unwritable path is refused first
-        with _output(config.output) as write:
-            return args.handler(args, config, write)
+            code = args.handler(args)
+        else:
+            config = resolve_config(args)
+            if getattr(args, "full", False) and config.format == "csv":
+                raise ValueError("--full adds per-call records to JSON only, and format is csv")
+            # opened before the work, so an unwritable path is refused first
+            with _output(config.output) as write:
+                code = args.handler(args, config, write)
+        sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout's unsent buffer goes to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -251,7 +251,7 @@ def _check_sorted(calls: Workload) -> None:
 def simulate_normal(
     topology: NetworkTopology,
     calls: Workload,
-    waiting_ms: float = DEFAULT_WAITING_MS,
+    params: LbParams = LbParams(),
 ) -> SimulationReport:
     """Admission without load balancing: home channels first come, first
     served; everything past the pool is blocked.
@@ -263,8 +263,8 @@ def simulate_normal(
     _check_sorted(calls)
     n = len(calls)
     home = min(n, topology.bsc_channels[HOME_BSC])
-    serving, times = _home_admitted(calls, home, waiting_ms)
-    total = running_sum(calls.arrival_ms[home:] + waiting_ms, start=running_sum(times[:home]))
+    serving, times = _home_admitted(calls, home, params.waiting_ms)
+    total = running_sum(calls.arrival_ms[home:] + params.waiting_ms, running_sum(times[:home]))
     return SimulationReport(
         NORMAL, topology.bsc_channels, total, None, calls.ids, serving, times,
         np.zeros(n, dtype=np.int64),
@@ -349,6 +349,6 @@ def compare_systems(
     params: LbParams = LbParams(),
 ) -> ComparisonReport:
     """Run both systems on the identical workload and report the deltas."""
-    ns = simulate_normal(topology, calls, waiting_ms=params.waiting_ms)
+    ns = simulate_normal(topology, calls, params)
     lb = simulate_load_balanced(topology, calls, params)
     return ComparisonReport(ns, lb)

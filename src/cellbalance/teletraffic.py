@@ -8,8 +8,6 @@ identical and the test suite holds them to 1e-12 of each other.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import LbParams, simulate_load_balanced, simulate_normal
 from .topology import NetworkTopology
 from .traffic import (
@@ -65,15 +63,6 @@ def erlang_b(a: OfferedLoad, n_channels: int) -> float:
     return prob
 
 
-def derive_level_seed(base_seed: int, level_index: int) -> int:
-    """Stable per-level workload seed so sweep points are independent yet
-    reproducible from one base seed."""
-    state = np.random.SeedSequence([base_seed % 2**64, level_index]).generate_state(
-        2, np.uint32
-    )
-    return int(state[0]) << 32 | int(state[1])
-
-
 def blocking_sweep(
     topology: NetworkTopology,
     load_levels: list[int],
@@ -82,7 +71,8 @@ def blocking_sweep(
     arrival_window_ms: float = DEFAULT_ARRIVAL_WINDOW_MS,
     demand_ms: float = DEFAULT_DEMAND_MS,
 ) -> list[BlockingCurvePoint]:
-    """Run both systems at each load level and record empirical blocking."""
+    """Run both systems at each load level, every one drawn from `seed` as
+    given, and record empirical blocking."""
     previous = None
     for n in load_levels:
         if n < 0:
@@ -92,15 +82,15 @@ def blocking_sweep(
         previous = n
 
     points = []
-    for index, n in enumerate(load_levels):
+    for n in load_levels:
         params = WorkloadParams(
             n_calls=n,
-            seed=derive_level_seed(seed, index),
+            seed=seed,
             arrival_window_ms=arrival_window_ms,
             demand_ms=demand_ms,
         )
         calls = generate_workload(params, topology)
-        ns = simulate_normal(topology, calls, waiting_ms=lb_params.waiting_ms)
+        ns = simulate_normal(topology, calls, lb_params)
         lb = simulate_load_balanced(topology, calls, lb_params)
         points.append(
             BlockingCurvePoint(

@@ -18,7 +18,13 @@ from cellbalance.cli import (
     main,
     parse_levels,
 )
-from cellbalance.traffic import WORKLOAD_HEADER
+from cellbalance.topology import NetworkTopology
+from cellbalance.traffic import (
+    DEFAULT_DEMAND_MS,
+    WORKLOAD_HEADER,
+    WorkloadParams,
+    generate_workload,
+)
 
 
 def reject_constant(name):
@@ -276,6 +282,39 @@ class TestCompareCommand:
         assert round(doc["deltas"]["execution_time_delta_ms"]) == 722626
         assert round(doc["deltas"]["blocking_delta_pp"], 6) == 20.0
 
+    def test_paper_time_delta_expected_over_seeds(self):
+        """The time delta's expectation needs no seed. The overflow calls are
+        the top m = n - H of n uniform order statistics, whose sum S has
+        E[S] = W * sum(i for i > H) / (n + 1). Every call takes k slices of
+        q + cs, with q = S / m^2 and k the same for every seed here, so the
+        delta D = S + m * waiting - h * k * (q + cs) is linear in S, for h
+        handovers: E[D] takes q at E[S], and sd(D) = (1 - h*k/m^2) sd(S).
+        At this window E[D] = 724,232 ms, sd(D) = 6,753 ms; the window for
+        722,626 ms is about 394.95."""
+        n, window, seeds = 3640, 395.8421542742645, range(1, 41)
+        topology, params = NetworkTopology(), engine.LbParams()
+        home = topology.bsc_channels[0]
+        m = n - home
+        h = min(m, sum(topology.bsc_channels[1:]))
+        ranks = np.arange(home + 1, n + 1)
+        mean_sum = window * ranks.sum() / (n + 1)
+        q = mean_sum / m**2
+        k = engine.slices_to_finish(DEFAULT_DEMAND_MS, q)
+        expected = mean_sum + m * params.waiting_ms - h * k * (q + params.context_switch_ms)
+        # Cov(U_(i), U_(j)) = W^2 i (n + 1 - j) / ((n + 1)^2 (n + 2)) for i <= j
+        tails = n + 1 - ranks
+        pairs = (ranks * tails).sum() + 2 * (tails * (np.cumsum(ranks) - ranks)).sum()
+        sd = (1 - h * k / m**2) * window * np.sqrt(pairs / ((n + 1) ** 2 * (n + 2)))
+        deltas = []
+        for seed in seeds:
+            wp = WorkloadParams(n_calls=n, seed=seed, arrival_window_ms=window)
+            calls = generate_workload(wp, topology)
+            comparison = engine.compare_systems(topology, calls, params)
+            assert comparison.load_balanced.slices.max() == k
+            deltas.append(comparison.execution_time_delta_ms)
+        assert round(expected) == 724232
+        assert abs(np.mean(deltas) - expected) <= 4 * sd / np.sqrt(len(seeds))
+
 
 class TestSweepCommand:
     def test_range_sweep_shape_and_dominance(self, tmp_path):
@@ -393,6 +432,29 @@ def test_compare_full_leaves_numpy_ma_unimported(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(cellbalance.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.stdout.splitlines()[-1] == "False", done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--calls", "90000", "--bsc-channels", "31300,34600,38200", "--full"],
+        ["gen", "--calls", "90000"],
+    ],
+)
+def test_reader_leaving_early_ends_quietly(argv):
+    """`cellbalance ... | head -c 100`: the pipe closes while the document
+    is written, which is no fault of the run: exit 141, nothing on stderr,
+    not even the interpreter's flush at exit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cellbalance.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cellbalance.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert stderr == b""
 
 
 class TestGenAndReplay:

@@ -235,14 +235,14 @@ class TestSimulateNormal:
 
     def test_per_call_execution_formula(self):
         """Three calls under ample capacity: time = arrival + waiting."""
-        report = simulate_normal(topo(5, 5), workload_of([1, 2, 4]), waiting_ms=3.0)
+        report = simulate_normal(topo(5, 5), workload_of([1, 2, 4]), LbParams(waiting_ms=3.0))
         assert report.execution_times_ms.tolist() == [4.0, 5.0, 7.0]
         assert report.total_execution_time_ms == 16.0
 
     def test_total_charges_blocked_calls_too(self):
         """The system clock runs for every examined request, but blocked
         calls themselves carry zero execution time."""
-        report = simulate_normal(topo(1, 1), workload_of([1, 2, 4]), waiting_ms=3.0)
+        report = simulate_normal(topo(1, 1), workload_of([1, 2, 4]), LbParams(waiting_ms=3.0))
         assert report.accepted_home == 1
         assert report.blocked == 2
         assert report.total_execution_time_ms == 16.0

@@ -70,6 +70,7 @@ def commands(draw) -> list[str]:
 
 
 BIG_POOLS = ["--bsc-channels", "2000,1500,1000"]  # every disposition at CHUNK calls and more
+INF_SLICES = ["--bsc-channels", "0,40", "--quantum", "1e308", "--context-switch", "1e308"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,9 +79,10 @@ BIG_POOLS = ["--bsc-channels", "2000,1500,1000"]  # every disposition at CHUNK c
 @example(argv=["run", "lb", "--calls", "0", "--format", "csv"])
 @example(argv=["compare", "--calls", "300", "--bsc-channels", "0,0,0", "--full"])
 @example(argv=["run", "lb", "--calls", "300", "--bsc-channels", "0,0", "--format", "csv"])
-# a slice costing more than the largest float: json writes Infinity, CSV inf
-@example(argv=["compare", "--calls", "40", "--quantum", "1e308", "--context-switch", "1e308", "--full"])
-@example(argv=["run", "lb", "--calls", "40", "--quantum", "1e308", "--context-switch", "1e308", "--format", "csv"])
+# a slice costing more than the largest float, for 40 calls all handed over:
+# json writes Infinity, CSV inf
+@example(argv=["compare", "--calls", "40", *INF_SLICES, "--full"])
+@example(argv=["run", "lb", "--calls", "40", *INF_SLICES, "--format", "csv"])
 @example(argv=["compare", "--calls", str(2 * CHUNK), *BIG_POOLS, "--full"])
 @example(argv=["run", "lb", "--calls", str(2 * CHUNK), *BIG_POOLS, "--format", "csv"])
 @example(argv=["run", "lb", "--calls", str(CHUNK), *BIG_POOLS, "--full"])
@@ -92,8 +94,17 @@ def test_streamed_bytes_equal_oracle(argv):
         output = Path(tmp) / "document"
         console, seen = run(argv, output)
         expected = oracle_document(argv, seen)
+        if "1e308" in argv:
+            assert (",inf," if "csv" in argv else "Infinity") in expected
         assert output.read_bytes() == expected.encode()
     assert run(argv)[0] == console + expected
+
+
+def test_write_json_refuses_what_json_refuses():
+    """Only a SimulationReport stands in for records; any other object
+    fails as json.dumps fails on it."""
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        cli.write_json(io.StringIO().write, {"params": {"seed": object()}})
 
 
 def test_full_compare_memory_stays_flat(tmp_path):

@@ -11,7 +11,6 @@ from cellbalance.teletraffic import (
     BlockingCurvePoint,
     OfferedLoad,
     blocking_sweep,
-    derive_level_seed,
     erlang_b,
     format_blocking_csv,
 )
@@ -98,18 +97,6 @@ class TestEmpiricalBlocking:
         assert simulate_normal(topo, calls).empirical_blocking == 1.0
 
 
-class TestDeriveLevelSeed:
-    def test_deterministic(self):
-        assert derive_level_seed(42, 3) == derive_level_seed(42, 3)
-
-    def test_levels_differ(self):
-        seeds = {derive_level_seed(42, i) for i in range(20)}
-        assert len(seeds) == 20
-
-    def test_negative_base_accepted(self):
-        assert derive_level_seed(-1, 0) >= 0
-
-
 class TestBlockingSweep:
     def test_count_model_closed_forms(self):
         """Below home capacity nothing blocks; above it the normal system
@@ -163,15 +150,17 @@ class TestBlockingSweep:
     def test_csv_equals_closed_form(self, pools, seed, levels):
         """Admission never reads arrivals, so blocking is (n - min(n, H)) / n
         without load balancing and (n - min(n, H + N)) / n with it, for a
-        home pool H and neighbor pools N in total; 0 with no calls."""
+        home pool H and neighbor pools N in total; 0 with no calls. A second
+        seed changes no row."""
         topology = NetworkTopology(bsc_channels=pools)
         home, total = pools[0], sum(pools)
         rows = "".join(
             f"{n},{(n - min(n, home)) / (n or 1):.6f},{(n - min(n, total)) / (n or 1):.6f}\n"
             for n in levels
         )
-        points = blocking_sweep(topology, list(levels), seed=seed)
-        assert format_blocking_csv(points) == "n_calls,ns_blocking,lb_blocking\n" + rows
+        for each_seed in (seed, seed + 1):
+            points = blocking_sweep(topology, list(levels), seed=each_seed)
+            assert format_blocking_csv(points) == "n_calls,ns_blocking,lb_blocking\n" + rows
 
 
 class TestFormatBlockingCsv:
