@@ -345,6 +345,14 @@ def _output(path: str | None):
         yield fh.write
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether both paths exist and name one file, however spelled."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 @contextmanager
 def _quantum_named(workload_path: str | None):
     """Says which calls left the quantum undefined, and how to set one."""
@@ -521,6 +529,12 @@ def main(argv: list[str] | None = None) -> int:
             config = resolve_config(args)
             if getattr(args, "full", False) and config.format == "csv":
                 raise ValueError("--full adds per-call records to JSON only, and format is csv")
+            workload = getattr(args, "workload", None)
+            if workload and config.output and _same_file(config.output, workload):
+                raise ValueError(
+                    f"--output '{config.output}' is the --workload file: "
+                    "writing the report would destroy the calls it replays"
+                )
             # opened before the work, so an unwritable path is refused first
             with _output(config.output) as write:
                 code = args.handler(args, config, write)

@@ -329,13 +329,19 @@ def simulate_load_balanced(
         # with counts np.unique sorts; without, it hashes, which imports numpy.ma
         demands = np.unique(queued, return_counts=True)[0]
         needed = np.array([slices_to_finish(d, quantum) for d in demands.tolist()], dtype=np.int64)
-        queue_slices = needed[np.searchsorted(demands, queued)]
+        # each queued call's passes, in the report's column; blocked calls' are zeroed below
+        queue_slices = slices[home:]
+        np.take(needed, np.searchsorted(demands, queued), out=queue_slices)
         # stable: calls finishing in the same pass keep queue order
-        handed = np.argsort(queue_slices, kind="stable")[: sum(capacities)]
-        targets = _rotation_targets(capacities, len(handed))
-        served = home + handed
-        serving[served] = HOME_BSC + 1 + targets
-        slices[served] = queue_slices[handed]
+        order = np.argsort(queue_slices, kind="stable")
+        capacity = sum(capacities)
+        queue_slices[order[capacity:]] = 0
+        served = order[:capacity].copy()  # so that the full order is freed
+        del order
+        served += home
+        targets = _rotation_targets(capacities, len(served))
+        targets += HOME_BSC + 1
+        serving[served] = targets
         times[served] = slices[served] * slice_execution_time(quantum, params.context_switch_ms)
 
     # the system clock: home calls in arrival order, then handovers as they finish

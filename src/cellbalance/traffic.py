@@ -8,7 +8,7 @@ and arrivals are the same whether or not positions are drawn.
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,18 +81,16 @@ def generate_workload(
     arrivals = np.random.default_rng(arrival_seq).uniform(
         0.0, params.arrival_window_ms, size=n
     )
-    order = np.argsort(arrivals, kind="stable")
-    calls = Workload(
-        ids=np.arange(n, dtype=np.int64),
-        arrival_ms=arrivals[order],
-        x_km=None,
-        y_km=None,
-        demand_ms=np.broadcast_to(params.demand_ms, n),
-    )
+    ids = np.arange(n, dtype=np.int64)
+    demand_ms = np.broadcast_to(params.demand_ms, n)
     if not positions:
-        return calls
+        # in place: uniform draws hold no -0.0 and no NaN, so this gives the
+        # values the stable gather below gives
+        arrivals.sort()
+        return Workload(ids, arrivals, None, None, demand_ms)
+    order = np.argsort(arrivals, kind="stable")
     xy = np.random.default_rng(position_seq).uniform(0.0, topology.area_km, size=(n, 2))
-    return replace(calls, x_km=xy[order, 0], y_km=xy[order, 1])
+    return Workload(ids, arrivals[order], xy[order, 0], xy[order, 1], demand_ms)
 
 
 SUM_CHUNK = 16384  # values accumulated at once: bounds the copy running_sum makes
@@ -142,58 +140,106 @@ def import_workload(path: str | Path) -> tuple[Workload, str]:
     """Read a workload file written by format_workload: its calls, in file
     order, and the sha256 of its bytes.
 
-    Rejects, naming the line, a row without five fields, a field that does
-    not parse, a call id that is duplicate or outside int64, a non-finite
-    arrival time and a demand that is not finite and positive.
+    Reads the file once, READ_BYTES at a time, and parses each block of
+    whole lines as it arrives. Rejects, naming the line, a row without five
+    fields, a field that does not parse, a call id that is duplicate or
+    outside int64, a non-finite arrival time and a demand that is not finite
+    and positive.
     """
-    data = Path(path).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    lines = data.decode().splitlines()
-    del data  # freed before parsing: the lines hold the same text
-    rows = [line for line in lines if line.strip()]
-    if not rows or rows[0].strip() != WORKLOAD_HEADER:
-        raise ValueError(f"{path}: missing workload header '{WORKLOAD_HEADER}'")
-    columns = _parse_columns(rows[1:])
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        columns = _read_columns(fh, digest)
     if columns is None:
-        raise _first_bad_row(path, lines)
-    return Workload(*columns), digest
+        raise _refusal(path)
+    return Workload(*columns), digest.hexdigest()
 
 
-PARSE_ROWS = 8192  # rows split into fields at once: bounds the strings held
+READ_BYTES = 1 << 16  # file bytes read at once: bounds the text and strings held
 
 
-def _parse_columns(rows: list[str]) -> tuple[np.ndarray, ...] | None:
-    """The five columns of well-formed rows, each field column parsed in one
-    pass per block of PARSE_ROWS rows; None if any row breaks a rule that
-    _first_bad_row checks."""
+def _text_blocks(fh, digest):
+    """The file's text in blocks of whole lines, hashing its bytes as they
+    are read. A block ends just after a b"\\n", which no UTF-8 sequence
+    holds and which ends every line break it is part of, so each block
+    decodes and splits into lines as it would within the whole text; only
+    the last block may end without one."""
+    held = []
+    while block := fh.read(READ_BYTES):
+        digest.update(block)
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            held.append(block[:cut])
+            yield b"".join(held).decode()
+            held = [block[cut:]]
+        else:
+            held.append(block)
+    yield b"".join(held).decode()
+
+
+def _read_columns(fh, digest) -> tuple[np.ndarray, ...] | None:
+    """The file's five columns, block by block; None if the file does not
+    decode, has no header or a row breaks a rule that _refusal checks."""
+    id_blocks = [np.zeros(0, dtype=np.int64)]  # so that no rows concatenate to no calls
+    value_blocks = [np.zeros((4, 0))]
+    header = False
+    try:
+        for text in _text_blocks(fh, digest):
+            rows = [line for line in text.splitlines() if line.strip()]
+            if rows and not header:
+                if rows.pop(0).strip() != WORKLOAD_HEADER:
+                    return None
+                header = True
+            if rows:
+                block = _parse_rows(rows)
+                if block is None:
+                    return None
+                id_blocks.append(block[0])
+                value_blocks.append(block[1])
+    except UnicodeDecodeError:
+        return None
+    ids = np.concatenate(id_blocks)
+    ordered = np.sort(ids)
+    if not header or (ordered[1:] == ordered[:-1]).any():
+        return None
+    return ids, *np.concatenate(value_blocks, axis=1)
+
+
+def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rows as their id column and their four float columns, each field
+    column parsed in one pass; None if a row breaks a rule that _refusal
+    checks on one row."""
     if any(row.count(",") != 4 for row in rows):
         return None
-    ids: list[int] = []
-    values = [np.zeros(0)]  # so that no rows concatenate to no values
+    fields = ",".join(rows).split(",")
     try:
-        for start in range(0, len(rows), PARSE_ROWS):
-            fields = ",".join(rows[start:start + PARSE_ROWS]).split(",")
-            ids.extend(map(int, fields[0::5]))
-            del fields[0::5]
-            values.append(np.fromiter(map(float, fields), dtype=float, count=len(fields)))
+        ids = list(map(int, fields[0::5]))
+        del fields[0::5]
+        values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
     except ValueError:
         return None
-    arrival_ms, x_km, y_km, demand_ms = np.concatenate(values).reshape(-1, 4).T.copy()
-    if ids and not INT64.min <= min(ids) <= max(ids) <= INT64.max:
-        return None
-    if len(set(ids)) != len(ids) or not (
-        np.isfinite(arrival_ms).all() and (np.isfinite(demand_ms) & (demand_ms > 0)).all()
+    values = values.reshape(-1, 4).T
+    arrival_ms, demand_ms = values[0], values[3]
+    if not (
+        INT64.min <= min(ids) <= max(ids) <= INT64.max
+        and np.isfinite(arrival_ms).all()
+        and (np.isfinite(demand_ms) & (demand_ms > 0)).all()
     ):
         return None
-    return np.array(ids, dtype=np.int64), arrival_ms, x_km, y_km, demand_ms
+    return np.array(ids, dtype=np.int64), values
 
 
-def _first_bad_row(path: str | Path, lines: list[str]) -> ValueError:
-    """The error for the first row of a workload file that breaks a rule,
-    naming its line: row by row, rule by rule."""
-    seen = set()
+def _refusal(path: str | Path) -> Exception:
+    """The error for a refused workload file, read again in one piece: its
+    decode error, a missing header, or the first row that breaks a rule,
+    naming its line, found row by row and rule by rule."""
+    try:
+        lines = Path(path).read_bytes().decode().splitlines()
+    except UnicodeDecodeError as exc:
+        return exc
     rows = ((n, line) for n, line in enumerate(lines, start=1) if line.strip())
-    next(rows)  # the header
+    if next(rows, (0, ""))[1].strip() != WORKLOAD_HEADER:
+        return ValueError(f"{path}: missing workload header '{WORKLOAD_HEADER}'")
+    seen = set()
     for lineno, line in rows:
         parts = line.split(",")
         if len(parts) != 5:
@@ -212,4 +258,4 @@ def _first_bad_row(path: str | Path, lines: list[str]) -> ValueError:
         if not math.isfinite(demand_ms) or demand_ms <= 0:
             return ValueError(f"{path}:{lineno}: demand_ms {demand_ms}, need finite and > 0")
         seen.add(call_id)
-    raise RuntimeError(f"{path}: rejected, but no row breaks a rule")
+    return RuntimeError(f"{path}: rejected, but no row breaks a rule")

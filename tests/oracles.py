@@ -213,7 +213,7 @@ def records_csv_oracle(report) -> str:
 def import_workload_oracle(path):
     """A workload file read row by row, as import_workload read it before
     it parsed whole columns, naming the file line of the first bad row."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines or lines[0][1].strip() != WORKLOAD_HEADER:
         raise ValueError(f"{path}: missing workload header '{WORKLOAD_HEADER}'")

@@ -538,6 +538,19 @@ class TestGenAndReplay:
         assert main(["run", "lb", "--workload", str(bad)]) == EXIT_USAGE
         assert "workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["run", "lb"], ["compare"]])
+    @pytest.mark.parametrize("spelling", ["w.csv", "./w.csv"])
+    def test_output_onto_workload_exit_2(self, tmp_path, monkeypatch, capsys, command, spelling):
+        """--output used to be opened before the replay read its input: the
+        file was truncated, the replay found no header and exited 2, and
+        the file was left empty."""
+        monkeypatch.chdir(tmp_path)
+        main(["gen", "--calls", "20", "--output", "w.csv"])
+        before = Path("w.csv").read_bytes()
+        assert main(command + ["--workload", "w.csv", "--output", spelling]) == EXIT_USAGE
+        assert f"--output '{spelling}' is the --workload file" in capsys.readouterr().err
+        assert Path("w.csv").read_bytes() == before
+
     @staticmethod
     def replay_rows(tmp_path, capsys, command, rows):
         path = tmp_path / "wl.csv"

@@ -374,8 +374,10 @@ def test_compare_transient_memory_per_call():
     """Full-length arange masks, np.where over a copy of arrival + waiting
     and np.unique's inverse index peaked at 97.5 B/call of traced
     allocations on this workload; slice assignment into the report columns
-    and a sorted lookup of each queued call's demand peak at about 81
-    B/call, 48 of them the two reports' columns."""
+    and a sorted lookup of each queued call's demand peaked at about 81
+    B/call, 48 of them the two reports' columns. Writing the queued slice
+    counts straight into the report's column and freeing the full argsort
+    peak at about 71 B/call."""
     n, pools = 90_000, topo(31300, 34600, 38200)
     calls = generate_workload(WorkloadParams(n_calls=n, seed=42), pools)
     tracemalloc.start()

@@ -122,6 +122,23 @@ def test_full_compare_memory_stays_flat(tmp_path):
     assert peak <= 40 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+def test_replay_memory_stays_flat(tmp_path):
+    """Holding the workload file's bytes, then its text, then one string per
+    line before parsing peaked at 15.0 MiB of traced allocations on this
+    command; reading READ_BYTES at a time peaks at about 5.5 MiB."""
+    workload = str(tmp_path / "calls.csv")
+    assert cli.main(["gen", "--calls", "50000", "--output", workload]) == cli.EXIT_OK
+    argv = ["compare", "--workload", workload, "--bsc-channels", "17400,19200,21200", "--full"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--output", str(tmp_path / "full.json")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak <= 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 def test_gen_memory_stays_flat(tmp_path):
     """Formatting the whole workload file as one string first peaked at
     21.0 MiB of traced allocations on this command; writing EXPORT_ROWS

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from cellbalance.traffic import (
     DEFAULT_ARRIVAL_WINDOW_MS,
     DEFAULT_DEMAND_MS,
     INT64,
-    PARSE_ROWS,
     WORKLOAD_HEADER,
     Workload,
     WorkloadParams,
@@ -148,11 +148,15 @@ class TestWorkloadFiles:
         assert same_workload(import_workload(path)[0], calls)
 
     def test_round_trip_across_parse_blocks(self, tmp_path):
-        params = WorkloadParams(n_calls=2 * PARSE_ROWS + 1, seed=5)
-        calls = generate_workload(params, TOPO, positions=True)
+        """A file of several READ_BYTES blocks: each block is parsed as it
+        is read, and the digest is the whole file's."""
+        calls = generate_workload(WorkloadParams(n_calls=3000, seed=5), TOPO, positions=True)
         path = tmp_path / "calls.csv"
         export(calls, path)
-        assert same_workload(import_workload(path)[0], calls)
+        assert path.stat().st_size > 2 * traffic.READ_BYTES
+        back, digest = import_workload(path)
+        assert same_workload(back, calls)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_format_header_and_width(self):
         calls = generate_workload(WorkloadParams(n_calls=3, seed=5), TOPO, positions=True)
@@ -242,8 +246,8 @@ def test_round_trip_adversarial_values_bit_for_bit(tmp_path_factory, rows):
 
 # fields valid in every column, and fields that break a rule in some column:
 # text int() or float() refuses, non-finite values, demands not above 0 and
-# ids outside int64
-GOOD_FIELDS = ["0", "1", "7", "2.5", "0.4", "1e3", " 3 ", "1_0", "9223372036854775807"]
+# ids outside int64; "٣" is a digit three that takes two bytes in UTF-8
+GOOD_FIELDS = ["0", "1", "7", "2.5", "0.4", "1e3", " 3 ", "1_0", "9223372036854775807", "٣"]
 BAD_FIELDS = ["", "oops", "nan", "inf", "-inf", "0.0", "-0.4", "-3",
               "9223372036854775808", "-9223372036854775809"]
 ROWS = st.one_of(
@@ -251,22 +255,59 @@ ROWS = st.one_of(
     st.lists(st.sampled_from(GOOD_FIELDS + BAD_FIELDS), min_size=4, max_size=6),
     st.just([]),  # a blank line
 )
+LINE_ENDS = st.sampled_from(["\n", "\r\n"])
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=st.lists(ROWS, max_size=8), distinct_ids=st.booleans())
-def test_import_matches_row_by_row_reader(tmp_path_factory, rows, distinct_ids):
-    """The columns parsed in bulk equal a row-by-row read, and a file that
-    reader refuses fails with the same message."""
+@given(
+    rows=st.lists(st.tuples(ROWS, LINE_ENDS), max_size=8),
+    leading=st.lists(st.sampled_from(["\n", " \r\n"]), max_size=2),  # blank lines
+    final_end=st.booleans(),
+    distinct_ids=st.booleans(),
+    read_bytes=st.one_of(st.just(traffic.READ_BYTES), st.integers(min_value=1, max_value=64)),
+)
+def test_import_matches_row_by_row_reader(
+    tmp_path_factory, rows, leading, final_end, distinct_ids, read_bytes
+):
+    """The columns parsed in bulk, block by block, equal a row-by-row read
+    of the whole file, and a file that reader refuses fails with the same
+    message; also with blocks a few bytes long, so that rows, line ends and
+    characters are cut between reads."""
     if distinct_ids:
-        rows = [[str(i)] + fields[1:] if fields else [] for i, fields in enumerate(rows)]
+        rows = [([str(i)] + fields[1:] if fields else [], end) for i, (fields, end) in enumerate(rows)]
+    text = "".join(leading) + WORKLOAD_HEADER + "\n" + "".join(",".join(f) + e for f, e in rows)
     path = tmp_path_factory.mktemp("wl") / "calls.csv"
-    path.write_text(WORKLOAD_HEADER + "\n" + "\n".join(map(",".join, rows)) + "\n")
-    try:
-        expected = import_workload_oracle(path)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as raised:
-            import_workload(path)
-        assert str(raised.value) == str(exc)
-    else:
-        assert same_workload(import_workload(path)[0], expected)
+    path.write_bytes(text.encode() if final_end else text.rstrip("\r\n").encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traffic, "READ_BYTES", read_bytes)
+        try:
+            expected = import_workload_oracle(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                import_workload(path)
+            assert str(raised.value) == str(exc)
+        else:
+            calls, digest = import_workload(path)
+            assert same_workload(calls, expected)
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("bad_row", [False, True])
+def test_undecodable_byte_past_first_block(tmp_path, bad_row):
+    """Refused with the whole file's decode error and position, also when
+    a row in the first block breaks a rule."""
+    calls = generate_workload(WorkloadParams(n_calls=3000, seed=5), TOPO, positions=True)
+    path = tmp_path / "calls.csv"
+    export(calls, path)
+    data = bytearray(path.read_bytes())
+    if bad_row:
+        data = data.replace(b"\n0,", b"\n0,oops,", 1)
+    at = data.index(b"\n", 2 * traffic.READ_BYTES) + 1
+    data[at] = 0xFF
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as raised:
+        import_workload(path)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        bytes(data).decode()
+    assert str(raised.value) == str(whole.value)
+    assert f"position {at}:" in str(raised.value)
