@@ -2,9 +2,9 @@
 
 Configuration is a flat key = value file (arrays bracketed); each key also
 has a flag, which wins over the file. One file may hold every key, and each
-subcommand takes the flags of the keys it reads. Reports are written as JSON
-or CSV; each run also prints a short console block (home pool, overload
-notice, handover tallies).
+subcommand takes the flags of the keys that can change what it writes.
+Reports are written as JSON or CSV; each run also prints a short console
+block (home pool, overload notice, handover tallies).
 """
 
 import argparse
@@ -59,7 +59,7 @@ def _parse_channels(text: str) -> tuple[int, ...]:
     inner = text.strip()
     if inner.startswith("[") and inner.endswith("]"):
         inner = inner[1:-1]
-    return tuple(int(part) for part in inner.split(",") if part.strip())
+    return tuple(int(part) for part in inner.split(","))
 
 
 def _parse_quantum(text: str) -> float | None:
@@ -91,9 +91,7 @@ CONFIG_KEYS = {
     "format": ("--format", _parse_format, "json or csv"),
     "output": ("--output", str, "write the document here instead of stdout"),
 }
-TOPOLOGY_KEYS = tuple(f.name for f in fields(NetworkTopology))
 WORKLOAD_KEYS = tuple(f.name for f in fields(WorkloadParams))
-LB_KEYS = tuple(f.name for f in fields(LbParams))
 
 
 def _parse_value(key: str, raw: str, where: str):
@@ -440,15 +438,7 @@ def parse_levels(text: str) -> list[int]:
 
 def _cmd_sweep(args: argparse.Namespace, config: RunConfig, write) -> int:
     levels = parse_levels(args.levels)
-    params = config.workload_params
-    points = blocking_sweep(
-        config.topology,
-        levels,
-        seed=params.seed,
-        lb_params=config.lb_params,
-        arrival_window_ms=params.arrival_window_ms,
-        demand_ms=params.demand_ms,
-    )
+    points = blocking_sweep(config.topology, levels, config.workload_params.seed)
     write(format_blocking_csv(points))
     return EXIT_OK
 
@@ -501,8 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="blocking curve over load levels")
     p_sweep.add_argument("levels", help="start:stop:step (stop inclusive) or n1,n2,...")
-    add_keys(p_sweep, [*TOPOLOGY_KEYS, "seed", "arrival_window_ms", "demand_ms", *LB_KEYS,
-                       "output"])
+    # the CSV depends only on the levels and the pools; perfbench still passes
+    # --seed (ROADMAP item 5)
+    add_keys(p_sweep, ["bsc_channels", "seed", "output"])
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_erl = sub.add_parser("erlang", help="Erlang B blocking probability")
@@ -513,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_erl.set_defaults(handler=_cmd_erlang)
 
     p_gen = sub.add_parser("gen", help="generate and export a workload file")
-    add_keys(p_gen, [*TOPOLOGY_KEYS, *WORKLOAD_KEYS, "output"])
+    # positions read only the area; perfbench still passes --bsc-channels (ROADMAP item 3)
+    add_keys(p_gen, ["bsc_channels", "area_km", *WORKLOAD_KEYS, "output"])
     p_gen.set_defaults(handler=_cmd_gen)
 
     return parser
@@ -526,10 +518,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "erlang":
             code = args.handler(args)
         else:
+            workload = getattr(args, "workload", None)
+            if workload:
+                keys = [key for key in WORKLOAD_KEYS if getattr(args, key) is not None]
+                if keys:
+                    flags = ", ".join(CONFIG_KEYS[key][0] for key in keys)
+                    raise ValueError(
+                        f"{flags}: the calls come from --workload '{workload}', "
+                        "so these flags would set nothing"
+                    )
             config = resolve_config(args)
             if getattr(args, "full", False) and config.format == "csv":
                 raise ValueError("--full adds per-call records to JSON only, and format is csv")
-            workload = getattr(args, "workload", None)
             if workload and config.output and _same_file(config.output, workload):
                 raise ValueError(
                     f"--output '{config.output}' is the --workload file: "

@@ -8,14 +8,9 @@ identical and the test suite holds them to 1e-12 of each other.
 import math
 from dataclasses import dataclass
 
-from .engine import LbParams, simulate_load_balanced, simulate_normal
+from .engine import simulate_load_balanced, simulate_normal
 from .topology import NetworkTopology
-from .traffic import (
-    DEFAULT_ARRIVAL_WINDOW_MS,
-    DEFAULT_DEMAND_MS,
-    WorkloadParams,
-    generate_workload,
-)
+from .traffic import WorkloadParams, generate_workload
 
 
 @dataclass(frozen=True)
@@ -64,15 +59,12 @@ def erlang_b(a: OfferedLoad, n_channels: int) -> float:
 
 
 def blocking_sweep(
-    topology: NetworkTopology,
-    load_levels: list[int],
-    seed: int,
-    lb_params: LbParams = LbParams(),
-    arrival_window_ms: float = DEFAULT_ARRIVAL_WINDOW_MS,
-    demand_ms: float = DEFAULT_DEMAND_MS,
+    topology: NetworkTopology, load_levels: list[int], seed: int
 ) -> list[BlockingCurvePoint]:
     """Run both systems at each load level, every one drawn from `seed` as
-    given, and record empirical blocking."""
+    given with the default window, demand and load-balancing params, and
+    record empirical blocking. Admission never reads arrivals, so blocking
+    depends only on the level and the pools."""
     previous = None
     for n in load_levels:
         if n < 0:
@@ -83,15 +75,9 @@ def blocking_sweep(
 
     points = []
     for n in load_levels:
-        params = WorkloadParams(
-            n_calls=n,
-            seed=seed,
-            arrival_window_ms=arrival_window_ms,
-            demand_ms=demand_ms,
-        )
-        calls = generate_workload(params, topology)
-        ns = simulate_normal(topology, calls, lb_params)
-        lb = simulate_load_balanced(topology, calls, lb_params)
+        calls = generate_workload(WorkloadParams(n_calls=n, seed=seed), topology)
+        ns = simulate_normal(topology, calls)
+        lb = simulate_load_balanced(topology, calls)
         points.append(
             BlockingCurvePoint(
                 n_calls=n,

@@ -140,11 +140,11 @@ def import_workload(path: str | Path) -> tuple[Workload, str]:
     """Read a workload file written by format_workload: its calls, in file
     order, and the sha256 of its bytes.
 
-    Reads the file once, READ_BYTES at a time, and parses each block of
-    whole lines as it arrives. Rejects, naming the line, a row without five
-    fields, a field that does not parse, a call id that is duplicate or
-    outside int64, a non-finite arrival time and a demand that is not finite
-    and positive.
+    Reads the file once, in blocks of whole lines just over READ_BYTES long,
+    and parses each block as it arrives. Rejects, naming the line, a row
+    without five fields, a field that does not parse, a call id that is
+    duplicate or outside int64, an arrival time that is not finite and
+    non-negative and a demand that is not finite and positive.
     """
     digest = hashlib.sha256()
     with Path(path).open("rb") as fh:
@@ -154,26 +154,19 @@ def import_workload(path: str | Path) -> tuple[Workload, str]:
     return Workload(*columns), digest.hexdigest()
 
 
-READ_BYTES = 1 << 16  # file bytes read at once: bounds the text and strings held
+READ_BYTES = 1 << 16  # file bytes per block, to a whole line: bounds the text and strings held
 
 
 def _text_blocks(fh, digest):
-    """The file's text in blocks of whole lines, hashing its bytes as they
-    are read. A block ends just after a b"\\n", which no UTF-8 sequence
-    holds and which ends every line break it is part of, so each block
-    decodes and splits into lines as it would within the whole text; only
-    the last block may end without one."""
-    held = []
-    while block := fh.read(READ_BYTES):
+    """The file's text in blocks of whole lines just over READ_BYTES long,
+    hashing its bytes as they are read. Every block but the last ends in a
+    b"\\n", which no UTF-8 sequence holds and which ends every line break it
+    is part of, so each block decodes and splits into lines as it would
+    within the whole text."""
+    while lines := fh.readlines(READ_BYTES):
+        block = b"".join(lines)
         digest.update(block)
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            held.append(block[:cut])
-            yield b"".join(held).decode()
-            held = [block[cut:]]
-        else:
-            held.append(block)
-    yield b"".join(held).decode()
+        yield block.decode()
 
 
 def _read_columns(fh, digest) -> tuple[np.ndarray, ...] | None:
@@ -221,7 +214,7 @@ def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     arrival_ms, demand_ms = values[0], values[3]
     if not (
         INT64.min <= min(ids) <= max(ids) <= INT64.max
-        and np.isfinite(arrival_ms).all()
+        and ((arrival_ms >= 0) & (arrival_ms < np.inf)).all()
         and (np.isfinite(demand_ms) & (demand_ms > 0)).all()
     ):
         return None
@@ -253,8 +246,8 @@ def _refusal(path: str | Path) -> Exception:
             return ValueError(f"{path}:{lineno}: duplicate call id {call_id}")
         if not INT64.min <= call_id <= INT64.max:
             return ValueError(f"{path}:{lineno}: call id {call_id} is outside int64")
-        if not math.isfinite(arrival_ms):
-            return ValueError(f"{path}:{lineno}: arrival_ms {arrival_ms} is not finite")
+        if not 0 <= arrival_ms < math.inf:
+            return ValueError(f"{path}:{lineno}: arrival_ms {arrival_ms}, need finite and >= 0")
         if not math.isfinite(demand_ms) or demand_ms <= 0:
             return ValueError(f"{path}:{lineno}: demand_ms {demand_ms}, need finite and > 0")
         seen.add(call_id)

@@ -232,8 +232,8 @@ def import_workload_oracle(path):
             raise ValueError(f"{path}:{lineno}: duplicate call id {call_id}")
         if not -(2**63) <= call_id < 2**63:
             raise ValueError(f"{path}:{lineno}: call id {call_id} is outside int64")
-        if not math.isfinite(arrival_ms):
-            raise ValueError(f"{path}:{lineno}: arrival_ms {arrival_ms} is not finite")
+        if not 0 <= arrival_ms < math.inf:
+            raise ValueError(f"{path}:{lineno}: arrival_ms {arrival_ms}, need finite and >= 0")
         if not math.isfinite(demand_ms) or demand_ms <= 0:
             raise ValueError(f"{path}:{lineno}: demand_ms {demand_ms}, need finite and > 0")
         seen.add(call_id)

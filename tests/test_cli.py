@@ -120,6 +120,8 @@ class TestRunCommand:
         [
             (["--bsc-channels", "313,-1"], "bsc_channels[1]"),
             (["--cells-per-bsc", "0"], "cells_per_bsc"),
+            (["--bsc-channels", "313,,346"],
+             "--bsc-channels: key 'bsc_channels' has invalid value '313,,346'"),
         ],
     )
     def test_bad_topology_exit_2(self, capsys, flags, key):
@@ -141,7 +143,7 @@ class TestRunCommand:
             (["run", "normal", "--waiting", "inf"], "waiting_ms"),
             (["run", "normal", "--demand", "nan"], "demand_ms"),
             (["compare", "--window", "nan"], "arrival_window_ms"),
-            (["sweep", "0:100:50", "--waiting", "nan"], "waiting_ms"),
+            (["sweep", "0:100:50", "--config", "waiting_ms = nan"], "waiting_ms"),
             (["gen", "--area-km", "nan"], "area_km"),
             (["gen", "--area-km", "inf"], "area_km"),
             (["erlang", "--a", "nan", "--n", "2"], "erlangs"),
@@ -149,9 +151,16 @@ class TestRunCommand:
             (["erlang", "--lambda", "1", "--mu", "nan", "--n", "2"], "mu_per_s"),
         ],
     )
-    def test_nonfinite_value_exit_2(self, capsys, argv, key):
+    def test_nonfinite_value_exit_2(self, tmp_path, capsys, argv, key):
         """NaN passed every `x <= 0` check: these exited 0 with NaN or
-        Infinity in the report, or exited 1 as internal errors."""
+        Infinity in the report, or exited 1 as internal errors. The text
+        after --config is the file's: a subcommand validates every key the
+        file holds, even one it has no flag for."""
+        if "--config" in argv:
+            cfg = tmp_path / "sim.cfg"
+            at = argv.index("--config") + 1
+            cfg.write_text(argv[at] + "\n")
+            argv = [*argv[:at], str(cfg), *argv[at + 1:]]
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -229,10 +238,20 @@ def test_full_with_csv_exit_2(tmp_path, capsys, command, format_in_file):
         (["gen"], ["--quantum", "0.3"]),
         (["gen"], ["--context-switch", "0.2"]),
         (["gen"], ["--waiting", "1"]),
+        (["sweep", "0:600:300"], ["--cells-per-bsc", "3"]),
+        (["sweep", "0:600:300"], ["--area-km", "2"]),
+        (["sweep", "0:600:300"], ["--window", "7"]),
+        (["sweep", "0:600:300"], ["--demand", "1e300"]),
+        (["sweep", "0:600:300"], ["--context-switch", "0.2"]),
+        (["sweep", "0:600:300"], ["--waiting", "1"]),
+        (["sweep", "0:600:300"], ["--quantum", "1e-300"]),
+        (["gen"], ["--cells-per-bsc", "3"]),
     ],
 )
 def test_flag_the_subcommand_ignores_exit_2(capsys, command, flags):
-    """These were accepted and ignored: `--format json` still wrote CSV."""
+    """These were accepted and ignored: `--format json` still wrote CSV, and
+    a sweep's CSV depends only on its levels and pools, yet `--demand 1e300`
+    made it exit 2."""
     with pytest.raises(SystemExit) as exited:
         main(command + flags)
     assert exited.value.code == EXIT_USAGE
@@ -480,10 +499,7 @@ class TestGenAndReplay:
         )
         replay = run_json(
             tmp_path,
-            [
-                "run", "lb", "--calls", "50", "--seed", "9",
-                "--bsc-channels", "20,10,10", "--full", "--workload", str(wl),
-            ],
+            ["run", "lb", "--bsc-channels", "20,10,10", "--full", "--workload", str(wl)],
             name="replay.json",
         )
         provenance = ("seed", "arrival_window_ms", "demand_ms")
@@ -523,6 +539,27 @@ class TestGenAndReplay:
         (calls,) = simulated
         assert len(calls) == (50 if replay else 900)
         assert calls.x_km is None and calls.y_km is None
+
+    @pytest.mark.parametrize("command", [["run", "lb"], ["compare"]])
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [("--calls", "n_calls", "5"), ("--seed", "seed", "9"),
+         ("--window", "arrival_window_ms", "7"), ("--demand", "demand_ms", "3")],
+    )
+    def test_replay_refuses_workload_flags_exit_2(self, tmp_path, capsys, command, flag, key,
+                                                  value):
+        """These were accepted and ignored: the replay simulated the file's
+        calls. The same value in a config file, which may hold every key,
+        is still allowed."""
+        wl, cfg, out = tmp_path / "wl.csv", tmp_path / "sim.cfg", tmp_path / "out.json"
+        main(["gen", "--calls", "50", "--output", str(wl)])
+        assert main(command + ["--workload", str(wl), flag, value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"error: {flag}: the calls come from --workload '{wl}'" in captured.err
+        assert captured.out == ""
+        cfg.write_text(f"{key} = {value}\n")
+        argv = command + ["--workload", str(wl), "--config", str(cfg), "--output", str(out)]
+        assert main(argv) == EXIT_OK
 
     def test_replay_reports_file_call_count(self, tmp_path):
         """The report used to give the config default, 900."""
@@ -573,13 +610,14 @@ class TestGenAndReplay:
         assert code == EXIT_USAGE
         assert f"{where}3: call id {call_id} is outside int64" in err
 
-    @pytest.mark.parametrize("arrival", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("arrival", ["nan", "inf", "-inf", "-1.0"])
     def test_nonfinite_arrival_exit_2(self, tmp_path, capsys, arrival):
-        """A nan arrival used to write NaN totals and exit 0."""
+        """A nan arrival used to write NaN totals and exit 0; a negative one
+        gave negative execution times and exited 0."""
         rows = ["0,1.0,0.5,0.5,0.4", f"1,{arrival},0.5,0.5,0.4"]
         code, err, where = self.replay_rows(tmp_path, capsys, ["compare"], rows)
         assert code == EXIT_USAGE
-        assert f"{where}3: arrival_ms {arrival} is not finite" in err
+        assert f"{where}3: arrival_ms {arrival}, need finite and >= 0" in err
 
     @pytest.mark.parametrize("demand", ["inf", "nan", "0.0", "-0.4"])
     def test_bad_demand_exit_2(self, tmp_path, capsys, demand):
@@ -636,13 +674,13 @@ class TestConfigFile:
             "seed = 5\narrival_window_ms = 100.0\ndemand_ms = 0.5\ncontext_switch_ms = 0.2\n"
             f"waiting_ms = 1.0\nquantum_override_ms = 0.25\nformat = json\noutput = {out}\n"
         )
-        topology = ["--bsc-channels", "6,4,4", "--cells-per-bsc", "3", "--area-km", "2"]
-        workload = ["--seed", "5", "--window", "100", "--demand", "0.5"]
-        lb = ["--context-switch", "0.2", "--waiting", "1", "--quantum", "0.25"]
+        workload = ["--calls", "12", "--seed", "5", "--window", "100", "--demand", "0.5"]
         commands = {
-            ("run", "lb"): [*topology, "--calls", "12", *workload, *lb, "--format", "json"],
-            ("sweep", "0,6,12"): [*topology, *workload, *lb],
-            ("gen",): [*topology, "--calls", "12", *workload],
+            ("run", "lb"): ["--bsc-channels", "6,4,4", "--cells-per-bsc", "3", "--area-km", "2",
+                            *workload, "--context-switch", "0.2", "--waiting", "1",
+                            "--quantum", "0.25", "--format", "json"],
+            ("sweep", "0,6,12"): ["--bsc-channels", "6,4,4", "--seed", "5"],
+            ("gen",): ["--bsc-channels", "6,4,4", "--area-km", "2", *workload],
         }
         written = {}
         for command, flags in commands.items():

@@ -76,10 +76,12 @@ def sha256(data: bytes) -> str:
 
 
 def run(argv: list[str], output: Path) -> str:
-    """Run one command at seed 42 writing to `output`; returns its stdout."""
+    """Run one command writing to `output`, at seed 42 unless it replays a
+    workload file, which refuses --seed; returns its stdout."""
+    seed = [] if "--workload" in argv else ["--seed", "42"]
     stdout = io.StringIO()
     with redirect_stdout(stdout):
-        code = main(argv + ["--seed", "42", "--output", str(output)])
+        code = main(argv + [*seed, "--output", str(output)])
     assert code == EXIT_OK, f"{' '.join(argv)} exited {code}"
     return stdout.getvalue()
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import workload_of
 from oracles import erlang_b_direct
 
-from cellbalance.engine import LbParams, simulate_normal
+from cellbalance.engine import simulate_normal
 from cellbalance.teletraffic import (
     BlockingCurvePoint,
     OfferedLoad,
@@ -130,13 +130,6 @@ class TestBlockingSweep:
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError, match="negative"):
             blocking_sweep(DEFAULT_TOPO, [-5, 10], seed=42)
-
-    def test_accepts_custom_lb_params(self):
-        points = blocking_sweep(
-            DEFAULT_TOPO, [400], seed=42, lb_params=LbParams(quantum_override_ms=2.0)
-        )
-        assert points[0].lb_blocking == 0.0
-        assert points[0].ns_blocking == 87 / 400
 
     @pytest.mark.parametrize(
         "pools, seed, levels",
