@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,9 @@ from .engine import (
     simulate_normal,
 )
 from .teletraffic import OfferedLoad, blocking_sweep, erlang_b, format_blocking_csv
-from .topology import HOME_BSC, NetworkTopology
+from .topology import CELLS_PER_BSC, HOME_BSC, NetworkTopology
 from .traffic import (
+    AREA_KM,
     Workload,
     WorkloadParams,
     format_workload,
@@ -78,8 +79,6 @@ def _parse_format(text: str) -> str:
 CONFIG_KEYS = {
     "bsc_channels": ("--bsc-channels", _parse_channels,
                      "per-BSC channel pools, home first, e.g. '313,346,382'"),
-    "cells_per_bsc": ("--cells-per-bsc", int, "cells per BSC"),
-    "area_km": ("--area-km", float, "side of the square area, km"),
     "n_calls": ("--calls", int, "number of call requests"),
     "seed": ("--seed", int, "workload RNG seed"),
     "arrival_window_ms": ("--window", float, "arrival window in ms"),
@@ -149,23 +148,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_calls(config: RunConfig, workload_path: str | None) -> tuple[Workload, dict]:
-    """The calls to simulate, sorted by arrival and without positions, and
-    the report params that say where they came from: the file's digest, or
-    what generated them."""
-    if workload_path:
+    """The calls to simulate, sorted by arrival, and the report params that
+    say where they came from: the file's digest, or what generated them."""
+    if workload_path is not None:
         try:
             calls, digest = import_workload(workload_path)
         except (OSError, ValueError) as exc:
             raise ValueError(f"workload '{workload_path}': {exc}") from exc
-        calls = replace(calls, x_km=None, y_km=None).sorted_by_arrival()
-        return calls, {"workload_sha256": digest}
+        return calls.sorted_by_arrival(), {"workload_sha256": digest}
     params = config.workload_params
     source = {
         "seed": params.seed,
         "arrival_window_ms": params.arrival_window_ms,
         "demand_ms": params.demand_ms,
     }
-    return generate_workload(params, config.topology), source
+    return generate_workload(params), source
 
 
 # --- report serialization ---------------------------------------------------
@@ -175,11 +172,11 @@ def report_params(config: RunConfig, report: SimulationReport, source: dict) -> 
     """The run's parameters: n_calls counts the calls simulated, and
     `source` says where they came from, which a replayed workload file sets,
     not the config."""
-    topology, lb_params = config.topology, config.lb_params
+    lb_params = config.lb_params
     return {
-        "bsc_channels": list(topology.bsc_channels),
-        "cells_per_bsc": topology.cells_per_bsc,
-        "area_km": topology.area_km,
+        "bsc_channels": list(report.bsc_channels),
+        "cells_per_bsc": CELLS_PER_BSC,
+        "area_km": AREA_KM,
         "n_calls": len(report.call_ids),
         **source,
         "context_switch_ms": lb_params.context_switch_ms,
@@ -303,14 +300,14 @@ def comparison_csv(comparison: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def console_block(report: SimulationReport, topology: NetworkTopology) -> str:
+def console_block(report: SimulationReport) -> str:
     """Human-readable run summary: home pool, overload notice, tallies."""
     total = len(report.call_ids)
     overflow = total - report.accepted_home
-    pools = topology.bsc_channels
+    pools = report.bsc_channels
     neighbors = range(HOME_BSC + 1, len(pools))
     lines = [
-        f"system have {topology.cells_per_bsc} cell per BSC",
+        f"system have {CELLS_PER_BSC} cell per BSC",
         f"channel free BSC1 = {pools[HOME_BSC]}",
         f"number of call request = {total}",
     ]
@@ -332,7 +329,7 @@ def console_block(report: SimulationReport, topology: NetworkTopology) -> str:
 @contextmanager
 def _output(path: str | None):
     """A write function for the document: into `path`, or onto stdout."""
-    if not path:
+    if path is None:
         yield sys.stdout.write
         return
     try:
@@ -357,7 +354,8 @@ def _quantum_named(workload_path: str | None):
     try:
         yield
     except UndefinedQuantum as exc:
-        source = f"workload '{workload_path}'" if workload_path else "the generated workload"
+        source = ("the generated workload" if workload_path is None
+                  else f"workload '{workload_path}'")
         raise ValueError(
             f"{source}: the overflow calls' mean arrival is {exc.avg_arrival_range_ms} ms, "
             "so the round-robin quantum (mean arrival / overflow calls) is undefined; "
@@ -369,12 +367,11 @@ def _quantum_named(workload_path: str | None):
 
 
 def _cmd_run(args: argparse.Namespace, config: RunConfig, write) -> int:
-    topology = config.topology
     calls, source = _load_calls(config, args.workload)
     simulate = simulate_normal if args.system == "normal" else simulate_load_balanced
     with _quantum_named(args.workload):
-        report = simulate(topology, calls, config.lb_params)
-    print(console_block(report, topology))
+        report = simulate(config.topology, calls, config.lb_params)
+    print(console_block(report))
     if config.format == "json":
         params = report_params(config, report, source)
         write_json(write, report_document(report, params, args.full))
@@ -385,12 +382,11 @@ def _cmd_run(args: argparse.Namespace, config: RunConfig, write) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace, config: RunConfig, write) -> int:
-    topology = config.topology
     calls, source = _load_calls(config, args.workload)
     with _quantum_named(args.workload):
-        comparison = compare_systems(topology, calls, config.lb_params)
+        comparison = compare_systems(config.topology, calls, config.lb_params)
     ns, lb = comparison.normal, comparison.load_balanced
-    print(console_block(lb, topology))
+    print(console_block(lb))
     print(
         f"normal: blocked = {ns.blocked}, total execution time = "
         f"{ns.total_execution_time_ms:.4f} ms"
@@ -428,7 +424,7 @@ def parse_levels(text: str) -> list[int]:
         levels = list(range(start, stop + 1, step))
     else:
         try:
-            levels = [int(p) for p in text.split(",") if p.strip()]
+            levels = [int(p) for p in text.split(",")]
         except ValueError as exc:
             raise ValueError(f"levels '{text}' must be integers") from exc
     if not levels:
@@ -457,8 +453,7 @@ def _cmd_erlang(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace, config: RunConfig, write) -> int:
-    calls = generate_workload(config.workload_params, config.topology, positions=True)
-    format_workload(write, calls)
+    format_workload(write, config.workload_params)
     return EXIT_OK
 
 
@@ -504,8 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_erl.set_defaults(handler=_cmd_erlang)
 
     p_gen = sub.add_parser("gen", help="generate and export a workload file")
-    # positions read only the area; perfbench still passes --bsc-channels (ROADMAP item 3)
-    add_keys(p_gen, ["bsc_channels", "area_km", *WORKLOAD_KEYS, "output"])
+    # the file depends only on the workload keys; perfbench still passes
+    # --bsc-channels (ROADMAP item 3)
+    add_keys(p_gen, ["bsc_channels", *WORKLOAD_KEYS, "output"])
     p_gen.set_defaults(handler=_cmd_gen)
 
     return parser
@@ -519,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
             code = args.handler(args)
         else:
             workload = getattr(args, "workload", None)
-            if workload:
+            if workload is not None:
                 keys = [key for key in WORKLOAD_KEYS if getattr(args, key) is not None]
                 if keys:
                     flags = ", ".join(CONFIG_KEYS[key][0] for key in keys)

@@ -75,7 +75,7 @@ def blocking_sweep(
 
     points = []
     for n in load_levels:
-        calls = generate_workload(WorkloadParams(n_calls=n, seed=seed), topology)
+        calls = generate_workload(WorkloadParams(n_calls=n, seed=seed))
         ns = simulate_normal(topology, calls)
         lb = simulate_load_balanced(topology, calls)
         points.append(

@@ -1,9 +1,9 @@
 """Synthetic call-request workloads: seeded, sorted, replayable.
 
-Arrivals are uniform over a fixed window and positions uniform over the
-simulation square. One seed drives two independent RNG substreams (arrival
-times, positions) so regenerating with the same params is bit-identical,
-and arrivals are the same whether or not positions are drawn.
+Arrivals are uniform over a fixed window. One seed drives two independent
+RNG substreams: arrival times, and the positions that only a workload file
+holds, uniform over a square AREA_KM on a side. Regenerating with the same
+params is bit-identical, and a file holds the very calls a run generates.
 """
 
 import hashlib
@@ -13,11 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .topology import NetworkTopology
-
 DEFAULT_ARRIVAL_WINDOW_MS = 2000.0
 DEFAULT_DEMAND_MS = 0.4
 DEFAULT_SEED = 42
+AREA_KM = 1.0
 
 WORKLOAD_HEADER = "id,arrival_ms,x_km,y_km,demand_ms"
 INT64 = np.iinfo(np.int64)
@@ -26,14 +25,10 @@ INT64 = np.iinfo(np.int64)
 @dataclass(frozen=True, eq=False)
 class Workload:
     """Calls as columns, one row per call, in the workload file's order:
-    id, arrival time, position and handover work. The engines never read a
-    position, so x_km and y_km are None unless the calls are to be written
-    to a workload file."""
+    id, arrival time and handover work, which is all the engines read."""
 
     ids: np.ndarray
     arrival_ms: np.ndarray
-    x_km: np.ndarray | None
-    y_km: np.ndarray | None
     demand_ms: np.ndarray
 
     def __len__(self) -> int:
@@ -43,8 +38,7 @@ class Workload:
         """The same calls by arrival time; calls arriving together keep
         their order."""
         order = np.argsort(self.arrival_ms, kind="stable")
-        columns = (getattr(self, f.name) for f in fields(self))
-        return Workload(*(None if column is None else column[order] for column in columns))
+        return Workload(*(getattr(self, f.name)[order] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -65,32 +59,25 @@ class WorkloadParams:
             raise ValueError(f"demand_ms = {self.demand_ms}, need finite and > 0")
 
 
-def generate_workload(
-    params: WorkloadParams, topology: NetworkTopology, positions: bool = False
-) -> Workload:
+def generate_workload(params: WorkloadParams) -> Workload:
     """Draw n_calls requests, sorted by arrival time, ids dense from 0, each
     demanding params.demand_ms (one read-only value for every call).
-    Positions are drawn only if asked for; otherwise x_km and y_km are None.
 
-    Pure function of (params, topology): the seed is split into one
-    substream per concern, so arrival draws never perturb position draws.
+    Pure function of params.
     """
     n = params.n_calls
+    arrivals = _substream(params.seed, 0).uniform(0.0, params.arrival_window_ms, size=n)
+    # in place: uniform draws hold no -0.0 and no NaN, so this gives the
+    # values the stable gather in _file_columns gives
+    arrivals.sort()
+    return Workload(np.arange(n, dtype=np.int64), arrivals, np.broadcast_to(params.demand_ms, n))
+
+
+def _substream(seed: int, concern: int):
+    """The generator of one concern, 0 arrivals or 1 positions, of the two
+    the seed splits into, so that drawing positions never perturbs arrivals."""
     # mask to 64 bits so negative seeds stay valid SeedSequence entropy
-    arrival_seq, position_seq = np.random.SeedSequence(params.seed % 2**64).spawn(2)
-    arrivals = np.random.default_rng(arrival_seq).uniform(
-        0.0, params.arrival_window_ms, size=n
-    )
-    ids = np.arange(n, dtype=np.int64)
-    demand_ms = np.broadcast_to(params.demand_ms, n)
-    if not positions:
-        # in place: uniform draws hold no -0.0 and no NaN, so this gives the
-        # values the stable gather below gives
-        arrivals.sort()
-        return Workload(ids, arrivals, None, None, demand_ms)
-    order = np.argsort(arrivals, kind="stable")
-    xy = np.random.default_rng(position_seq).uniform(0.0, topology.area_km, size=(n, 2))
-    return Workload(ids, arrivals[order], xy[order, 0], xy[order, 1], demand_ms)
+    return np.random.default_rng(np.random.SeedSequence(seed % 2**64).spawn(2)[concern])
 
 
 SUM_CHUNK = 16384  # values accumulated at once: bounds the copy running_sum makes
@@ -123,17 +110,29 @@ def average_arrival_range(arrival_ms: np.ndarray) -> float:
 EXPORT_ROWS = 8192  # rows formatted per write: bounds the text held at once
 
 
-def format_workload(write, calls: Workload) -> None:
-    """Write the calls as columnar text, one call per line, floats in full
-    round-trip precision, EXPORT_ROWS lines per write: a workload file that
+def format_workload(write, params: WorkloadParams) -> None:
+    """Write the calls generate_workload(params) draws, each placed in the
+    square, as columnar text, one call per line, floats in full round-trip
+    precision, EXPORT_ROWS lines per write: a workload file that
     import_workload reads back bit-identically."""
-    if calls.x_km is None or calls.y_km is None:
-        raise ValueError("a workload file holds positions: generate the calls with positions=True")
+    columns = _file_columns(params)
     write(WORKLOAD_HEADER + "\n")
-    columns = [getattr(calls, f.name) for f in fields(calls)]
-    for start in range(0, len(calls), EXPORT_ROWS):
+    for start in range(0, params.n_calls, EXPORT_ROWS):
         rows = zip(*(column[start:start + EXPORT_ROWS].tolist() for column in columns))
         write("".join(f"{i},{t!r},{x!r},{y!r},{d!r}\n" for i, t, x, y, d in rows))
+
+
+def _file_columns(params: WorkloadParams) -> tuple[np.ndarray, ...]:
+    """The workload file's five columns: generate_workload's calls and their
+    positions, drawn from their own substream, in stable arrival order. The
+    raw draws and their order are freed on return, before any row is
+    written."""
+    n = params.n_calls
+    arrivals = _substream(params.seed, 0).uniform(0.0, params.arrival_window_ms, size=n)
+    order = np.argsort(arrivals, kind="stable")
+    xy = _substream(params.seed, 1).uniform(0.0, AREA_KM, size=(n, 2))
+    ids, demand_ms = np.arange(n, dtype=np.int64), np.broadcast_to(params.demand_ms, n)
+    return ids, arrivals[order], xy[order, 0], xy[order, 1], demand_ms
 
 
 def import_workload(path: str | Path) -> tuple[Workload, str]:
@@ -141,10 +140,11 @@ def import_workload(path: str | Path) -> tuple[Workload, str]:
     order, and the sha256 of its bytes.
 
     Reads the file once, in blocks of whole lines just over READ_BYTES long,
-    and parses each block as it arrives. Rejects, naming the line, a row
-    without five fields, a field that does not parse, a call id that is
-    duplicate or outside int64, an arrival time that is not finite and
-    non-negative and a demand that is not finite and positive.
+    and parses each block as it arrives, keeping no position. Rejects,
+    naming the line, a row without five fields, a field that does not
+    parse, a call id that is duplicate or outside int64, an arrival time
+    that is not finite and non-negative and a demand that is not finite and
+    positive.
     """
     digest = hashlib.sha256()
     with Path(path).open("rb") as fh:
@@ -170,10 +170,11 @@ def _text_blocks(fh, digest):
 
 
 def _read_columns(fh, digest) -> tuple[np.ndarray, ...] | None:
-    """The file's five columns, block by block; None if the file does not
-    decode, has no header or a row breaks a rule that _refusal checks."""
+    """The file's id, arrival and demand columns, block by block; None if
+    the file does not decode, has no header or a row breaks a rule that
+    _refusal checks."""
     id_blocks = [np.zeros(0, dtype=np.int64)]  # so that no rows concatenate to no calls
-    value_blocks = [np.zeros((4, 0))]
+    value_blocks = [np.zeros((2, 0))]
     header = False
     try:
         for text in _text_blocks(fh, digest):
@@ -198,9 +199,9 @@ def _read_columns(fh, digest) -> tuple[np.ndarray, ...] | None:
 
 
 def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Rows as their id column and their four float columns, each field
-    column parsed in one pass; None if a row breaks a rule that _refusal
-    checks on one row."""
+    """Rows as their id column and their arrival and demand columns, each
+    field column parsed in one pass and both positions parsed, then
+    dropped; None if a row breaks a rule that _refusal checks on one row."""
     if any(row.count(",") != 4 for row in rows):
         return None
     fields = ",".join(rows).split(",")
@@ -210,8 +211,8 @@ def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
         values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
     except ValueError:
         return None
-    values = values.reshape(-1, 4).T
-    arrival_ms, demand_ms = values[0], values[3]
+    values = values.reshape(-1, 4).T[[0, 3]]
+    arrival_ms, demand_ms = values
     if not (
         INT64.min <= min(ids) <= max(ids) <= INT64.max
         and ((arrival_ms >= 0) & (arrival_ms < np.inf)).all()

@@ -240,4 +240,4 @@ def import_workload_oracle(path):
         ids.append(call_id)
         values.append(row)
     columns = np.array(values, dtype=float).reshape(-1, 4).T.copy()
-    return Workload(np.array(ids, dtype=np.int64), *columns)
+    return Workload(np.array(ids, dtype=np.int64), columns[0], columns[3])

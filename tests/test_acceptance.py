@@ -32,7 +32,7 @@ def check(num, label, ok, detail=""):
 
 
 def default_run(n=900, seed=42):
-    calls = generate_workload(WorkloadParams(n_calls=n, seed=seed), DEFAULT_TOPO)
+    calls = generate_workload(WorkloadParams(n_calls=n, seed=seed))
     return calls, simulate_load_balanced(DEFAULT_TOPO, calls)
 
 
@@ -65,7 +65,7 @@ def test_criterion_4_execution_time_ordering_100_seeds():
     worst_ratio = float("inf")
     ok = True
     for seed in range(100):
-        calls = generate_workload(WorkloadParams(n_calls=900, seed=seed), DEFAULT_TOPO)
+        calls = generate_workload(WorkloadParams(n_calls=900, seed=seed))
         ns = simulate_normal(DEFAULT_TOPO, calls)
         lb = simulate_load_balanced(DEFAULT_TOPO, calls)
         if not lb.total_execution_time_ms < ns.total_execution_time_ms:
@@ -160,8 +160,8 @@ def test_criterion_8_conservation_and_determinism():
             arrival_window_ms=rng.choice([100.0, 500.0, 2000.0]),
             demand_ms=rng.choice([0.4, 1.0, 2.5]),
         )
-        calls = generate_workload(params, topology)
-        again = generate_workload(params, topology)
+        calls = generate_workload(params)
+        again = generate_workload(params)
         if not same_workload(calls, again):
             ok, detail = False, "workload regeneration diverged"
             break

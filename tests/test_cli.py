@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cellbalance
-from cellbalance import cli, engine
+from cellbalance import cli, engine, traffic
 from cellbalance.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -119,7 +120,8 @@ class TestRunCommand:
         "flags, key",
         [
             (["--bsc-channels", "313,-1"], "bsc_channels[1]"),
-            (["--cells-per-bsc", "0"], "cells_per_bsc"),
+            (["--bsc-channels", "1.5,2"],
+             "--bsc-channels: key 'bsc_channels' has invalid value '1.5,2'"),
             (["--bsc-channels", "313,,346"],
              "--bsc-channels: key 'bsc_channels' has invalid value '313,,346'"),
         ],
@@ -144,8 +146,8 @@ class TestRunCommand:
             (["run", "normal", "--demand", "nan"], "demand_ms"),
             (["compare", "--window", "nan"], "arrival_window_ms"),
             (["sweep", "0:100:50", "--config", "waiting_ms = nan"], "waiting_ms"),
-            (["gen", "--area-km", "nan"], "area_km"),
-            (["gen", "--area-km", "inf"], "area_km"),
+            (["gen", "--window", "inf"], "arrival_window_ms"),
+            (["gen", "--demand", "nan"], "demand_ms"),
             (["erlang", "--a", "nan", "--n", "2"], "erlangs"),
             (["erlang", "--lambda", "inf", "--mu", "1", "--n", "2"], "lambda_per_s"),
             (["erlang", "--lambda", "1", "--mu", "nan", "--n", "2"], "mu_per_s"),
@@ -212,6 +214,20 @@ def test_unwritable_output_exit_2(tmp_path, capsys, argv, missing_dir):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["run", "lb"], ["compare"], ["sweep", "0:10:5"], ["gen"]])
+@pytest.mark.parametrize("in_file", [False, True])
+def test_empty_output_path_exit_2(tmp_path, capsys, argv, in_file):
+    """`--output ""` and a config line `output =` counted as no path: the
+    document went to stdout and the run exited 0."""
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("output =\n")
+    flags = ["--config", str(cfg)] if in_file else ["--output", ""]
+    assert main(argv + flags) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output '':")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", [["run", "lb"], ["compare"]])
 @pytest.mark.parametrize("format_in_file", [False, True])
 def test_full_with_csv_exit_2(tmp_path, capsys, command, format_in_file):
@@ -246,12 +262,16 @@ def test_full_with_csv_exit_2(tmp_path, capsys, command, format_in_file):
         (["sweep", "0:600:300"], ["--waiting", "1"]),
         (["sweep", "0:600:300"], ["--quantum", "1e-300"]),
         (["gen"], ["--cells-per-bsc", "3"]),
+        (["gen"], ["--area-km", "2"]),
+        (["run", "lb"], ["--cells-per-bsc", "3"]),
+        (["compare"], ["--area-km", "2"]),
     ],
 )
 def test_flag_the_subcommand_ignores_exit_2(capsys, command, flags):
     """These were accepted and ignored: `--format json` still wrote CSV, and
     a sweep's CSV depends only on its levels and pools, yet `--demand 1e300`
-    made it exit 2."""
+    made it exit 2. No subcommand takes the cells or the area, which are
+    constants."""
     with pytest.raises(SystemExit) as exited:
         main(command + flags)
     assert exited.value.code == EXIT_USAGE
@@ -327,7 +347,7 @@ class TestCompareCommand:
         deltas = []
         for seed in seeds:
             wp = WorkloadParams(n_calls=n, seed=seed, arrival_window_ms=window)
-            calls = generate_workload(wp, topology)
+            calls = generate_workload(wp)
             comparison = engine.compare_systems(topology, calls, params)
             assert comparison.load_balanced.slices.max() == k
             deltas.append(comparison.execution_time_delta_ms)
@@ -383,7 +403,7 @@ class TestParseLevels:
         assert parse_levels("1,2,30") == [1, 2, 30]
 
     def test_rejects_malformed(self):
-        for bad in ("1:2", "1:2:3:4", "a:b:c", "x,y", "", "3:1:1", "1:5:0"):
+        for bad in ("1:2", "1:2:3:4", "a:b:c", "x,y", "", "3:1:1", "1:5:0", "1,,3", "1,3,"):
             with pytest.raises(ValueError):
                 parse_levels(bad)
 
@@ -440,17 +460,35 @@ def test_cli_never_reads_records(tmp_path, monkeypatch):
         assert main(argv + ["--output", str(tmp_path / "out")]) == EXIT_OK, argv
 
 
-def test_compare_full_leaves_numpy_ma_unimported(tmp_path):
-    """np.unique without counts or indices hashes, and imports numpy.ma
-    first: about 0.02 s and 1 MiB in every process that called it."""
+def imported_by(argv: list[str], module: str) -> bool:
+    """Whether `cellbalance argv`, run in a fresh interpreter, imports `module`."""
     script = (
-        "import sys; from cellbalance.cli import main; "
-        f"main(['compare', '--full', '--output', {str(tmp_path / 'r.json')!r}]); "
-        "print('numpy.ma' in sys.modules)"
+        f"import sys; from cellbalance.cli import main; main({argv!r}); "
+        f"print({module!r} in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cellbalance.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert done.stdout.splitlines()[-1] == "False", done.stderr
+    assert done.returncode == EXIT_OK, done.stderr
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def test_compare_full_leaves_numpy_ma_unimported(tmp_path):
+    """np.unique without counts or indices hashes, and imports numpy.ma
+    first: about 0.02 s and 1 MiB in every process that called it."""
+    assert not imported_by(["compare", "--full", "--output", str(tmp_path / "r.json")], "numpy.ma")
+
+
+@pytest.mark.parametrize("replay", [False, True])
+def test_command_that_draws_nothing_leaves_numpy_random_unimported(tmp_path, replay):
+    """numpy loads numpy.random on first use. A module-level reference to
+    it, such as an unquoted annotation, would load it into every command:
+    about 2.6 MiB more at start-up."""
+    argv = ["erlang", "--a", "1", "--n", "1"]
+    if replay:
+        wl = tmp_path / "wl.csv"
+        assert main(["gen", "--calls", "50", "--output", str(wl)]) == EXIT_OK
+        argv = ["compare", "--full", "--workload", str(wl), "--output", str(tmp_path / "r.json")]
+    assert not imported_by(argv, "numpy.random")
 
 
 @pytest.mark.parametrize(
@@ -524,8 +562,8 @@ class TestGenAndReplay:
 
     @pytest.mark.parametrize("replay", [False, True])
     def test_run_holds_no_positions(self, tmp_path, monkeypatch, replay):
-        """Only gen writes positions: a run generates its calls without
-        them, and a replay drops the ones it parsed."""
+        """Only gen draws positions: neither a run nor a replay builds the
+        file's columns, and the calls either simulates hold no position."""
         wl = tmp_path / "wl.csv"
         main(["gen", "--calls", "50", "--output", str(wl)])
         simulated = []
@@ -534,11 +572,15 @@ class TestGenAndReplay:
             simulated.append(calls)
             return engine.compare_systems(topology, calls, params)
 
+        def refuse(params):
+            raise AssertionError("a run drew positions")
+
+        monkeypatch.setattr(traffic, "_file_columns", refuse)
         monkeypatch.setattr(cli, "compare_systems", spy)
         run_json(tmp_path, ["compare", *(["--workload", str(wl)] if replay else [])])
         (calls,) = simulated
         assert len(calls) == (50 if replay else 900)
-        assert calls.x_km is None and calls.y_km is None
+        assert [f.name for f in fields(calls)] == ["ids", "arrival_ms", "demand_ms"]
 
     @pytest.mark.parametrize("command", [["run", "lb"], ["compare"]])
     @pytest.mark.parametrize(
@@ -560,6 +602,17 @@ class TestGenAndReplay:
         cfg.write_text(f"{key} = {value}\n")
         argv = command + ["--workload", str(wl), "--config", str(cfg), "--output", str(out)]
         assert main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize("command", [["run", "lb"], ["compare"]])
+    @pytest.mark.parametrize("flags", [[], ["--calls", "5"]])
+    def test_empty_workload_path_exit_2(self, capsys, command, flags):
+        """An empty --workload counted as none: `run lb --workload "" --calls 5`
+        generated 5 calls and exited 0."""
+        assert main(command + ["--workload", "", *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        named = "--calls: the calls come from --workload ''" if flags else "workload '': "
+        assert captured.err.startswith(f"error: {named}")
+        assert captured.out == ""
 
     def test_replay_reports_file_call_count(self, tmp_path):
         """The report used to give the config default, 900."""
@@ -665,22 +718,21 @@ class TestConfigFile:
         assert doc["params"]["seed"] == 1
 
     def test_one_file_drives_every_subcommand(self, tmp_path):
-        """One file may hold all twelve keys: each subcommand reads its own
+        """One file may hold all ten keys: each subcommand reads its own
         and writes what the same values given as flags write."""
         out = tmp_path / "out"
         cfg = tmp_path / "all.cfg"
         cfg.write_text(
-            "bsc_channels = [6, 4, 4]\ncells_per_bsc = 3\narea_km = 2.0\nn_calls = 12\n"
+            "bsc_channels = [6, 4, 4]\nn_calls = 12\n"
             "seed = 5\narrival_window_ms = 100.0\ndemand_ms = 0.5\ncontext_switch_ms = 0.2\n"
             f"waiting_ms = 1.0\nquantum_override_ms = 0.25\nformat = json\noutput = {out}\n"
         )
         workload = ["--calls", "12", "--seed", "5", "--window", "100", "--demand", "0.5"]
         commands = {
-            ("run", "lb"): ["--bsc-channels", "6,4,4", "--cells-per-bsc", "3", "--area-km", "2",
-                            *workload, "--context-switch", "0.2", "--waiting", "1",
-                            "--quantum", "0.25", "--format", "json"],
+            ("run", "lb"): ["--bsc-channels", "6,4,4", *workload, "--context-switch", "0.2",
+                            "--waiting", "1", "--quantum", "0.25", "--format", "json"],
             ("sweep", "0,6,12"): ["--bsc-channels", "6,4,4", "--seed", "5"],
-            ("gen",): ["--bsc-channels", "6,4,4", "--area-km", "2", *workload],
+            ("gen",): ["--bsc-channels", "6,4,4", *workload],
         }
         written = {}
         for command, flags in commands.items():
@@ -689,7 +741,7 @@ class TestConfigFile:
             assert main([*command, *flags, "--output", str(out)]) == EXIT_OK
             assert out.read_bytes() == written[command[0]]
         assert json.loads(written["run"])["params"] == {
-            "bsc_channels": [6, 4, 4], "cells_per_bsc": 3, "area_km": 2.0, "n_calls": 12,
+            "bsc_channels": [6, 4, 4], "cells_per_bsc": 7, "area_km": 1.0, "n_calls": 12,
             "seed": 5, "arrival_window_ms": 100.0, "demand_ms": 0.5,
             "context_switch_ms": 0.2, "waiting_ms": 1.0, "quantum_ms": 0.25,
         }
@@ -709,6 +761,23 @@ class TestConfigFile:
     def test_bad_flag_value_names_flag_and_key(self, capsys):
         assert main(["run", "lb", "--calls", "1.5"]) == EXIT_USAGE
         assert "--calls: key 'n_calls' has invalid value '1.5'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["cells_per_bsc = 7", "area_km = 1.0"])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, line):
+        """The cells per BSC and the area are constants, not keys."""
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["run", "lb", "--config", str(cfg)]) == EXIT_USAGE
+        assert f"{cfg}:1: unknown key '{line.split()[0]}'" in capsys.readouterr().err
+
+    def test_readme_config_holds_every_key(self, tmp_path):
+        """README's scenario.cfg example parses and names each key once."""
+        readme = Path(__file__).parents[1].joinpath("README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(block)
+        assert sorted(load_config_file(str(cfg))) == sorted(cli.CONFIG_KEYS)
+        assert len(cli.CONFIG_KEYS) == 10
 
     def test_unknown_key_names_line(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
@@ -743,12 +812,12 @@ class TestConfigFile:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
             "bsc_channels = [1, 2, 3]\n"
-            "area_km = 2.5\n"
+            "waiting_ms = 2.5\n"
             "quantum_override_ms = none\n"
             "output = out.json  # trailing comment\n"
         )
         values = load_config_file(str(cfg))
         assert values["bsc_channels"] == (1, 2, 3)
-        assert values["area_km"] == 2.5
+        assert values["waiting_ms"] == 2.5
         assert values["quantum_override_ms"] is None
         assert values["output"] == "out.json"

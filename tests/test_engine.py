@@ -35,7 +35,7 @@ def topo(*channels):
 
 
 def default_workload(n=900, seed=42):
-    return generate_workload(WorkloadParams(n_calls=n, seed=seed), DEFAULT_TOPO)
+    return generate_workload(WorkloadParams(n_calls=n, seed=seed))
 
 
 class TestComputeQuantum:
@@ -379,7 +379,7 @@ def test_compare_transient_memory_per_call():
     counts straight into the report's column and freeing the full argsort
     peak at about 71 B/call."""
     n, pools = 90_000, topo(31300, 34600, 38200)
-    calls = generate_workload(WorkloadParams(n_calls=n, seed=42), pools)
+    calls = generate_workload(WorkloadParams(n_calls=n, seed=42))
     tracemalloc.start()
     try:
         compare_systems(pools, calls)

@@ -83,7 +83,7 @@ class TestErlangB:
 
 class TestEmpiricalBlocking:
     def test_default_scenario_normal_run(self):
-        calls = generate_workload(WorkloadParams(n_calls=900), DEFAULT_TOPO)
+        calls = generate_workload(WorkloadParams(n_calls=900))
         report = simulate_normal(DEFAULT_TOPO, calls)
         assert report.empirical_blocking == 587 / 900
 

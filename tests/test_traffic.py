@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import import_workload_oracle
 
 from cellbalance import traffic
-from cellbalance.topology import NetworkTopology
 from cellbalance.traffic import (
+    AREA_KM,
     DEFAULT_ARRIVAL_WINDOW_MS,
     DEFAULT_DEMAND_MS,
     INT64,
@@ -23,76 +23,85 @@ from cellbalance.traffic import (
     running_sum,
 )
 
-TOPO = NetworkTopology()
-
-
-def export(calls, path):
-    """Write the calls to a workload file through format_workload, as gen does."""
+def export(params, path):
+    """Write the calls of `params` to a workload file through
+    format_workload, as gen does."""
     with open(path, "w") as fh:
-        format_workload(fh.write, calls)
+        format_workload(fh.write, params)
+
+
+def positions(params) -> list[tuple[float, float]]:
+    """The x and y of each row format_workload writes for `params`."""
+    parts = []
+    format_workload(parts.append, params)
+    rows = "".join(parts).splitlines()[1:]
+    return [(float(x), float(y)) for x, y in (row.split(",")[2:4] for row in rows)]
 
 
 class TestGenerateWorkload:
     def test_default_scenario_shape(self):
-        calls = generate_workload(WorkloadParams(n_calls=900), TOPO, positions=True)
+        params = WorkloadParams(n_calls=900)
+        calls = generate_workload(params)
         assert len(calls) == 900
         assert calls.ids.tolist() == list(range(900))
         assert all(0.0 <= t < DEFAULT_ARRIVAL_WINDOW_MS for t in calls.arrival_ms)
         assert all(d == DEFAULT_DEMAND_MS for d in calls.demand_ms)
-        for x, y in zip(calls.x_km, calls.y_km):
-            assert 0.0 <= x < TOPO.area_km
-            assert 0.0 <= y < TOPO.area_km
+        for x, y in positions(params):
+            assert 0.0 <= x < AREA_KM
+            assert 0.0 <= y < AREA_KM
 
     def test_sorted_by_arrival(self):
-        calls = generate_workload(WorkloadParams(n_calls=900), TOPO)
+        calls = generate_workload(WorkloadParams(n_calls=900))
         arrivals = calls.arrival_ms.tolist()
         assert arrivals == sorted(arrivals)
 
     def test_same_seed_bit_identical(self):
-        a = generate_workload(WorkloadParams(n_calls=250, seed=7), TOPO)
-        b = generate_workload(WorkloadParams(n_calls=250, seed=7), TOPO)
+        a = generate_workload(WorkloadParams(n_calls=250, seed=7))
+        b = generate_workload(WorkloadParams(n_calls=250, seed=7))
         assert same_workload(a, b)
 
     def test_different_seed_differs(self):
-        a = generate_workload(WorkloadParams(n_calls=50, seed=1), TOPO)
-        b = generate_workload(WorkloadParams(n_calls=50, seed=2), TOPO)
+        a = generate_workload(WorkloadParams(n_calls=50, seed=1))
+        b = generate_workload(WorkloadParams(n_calls=50, seed=2))
         assert a.arrival_ms.tolist() != b.arrival_ms.tolist()
 
     def test_negative_seed_accepted(self):
-        calls = generate_workload(WorkloadParams(n_calls=10, seed=-3), TOPO)
+        calls = generate_workload(WorkloadParams(n_calls=10, seed=-3))
         assert len(calls) == 10
 
     def test_zero_calls(self):
-        calls = generate_workload(WorkloadParams(n_calls=0), TOPO, positions=True)
+        calls = generate_workload(WorkloadParams(n_calls=0))
         assert same_workload(calls, workload_of([]))
+        assert positions(WorkloadParams(n_calls=0)) == []
 
     def test_arrival_mean_near_window_center(self):
         """Uniform sanity check: 10k draws put the mean within 5% of w/2."""
-        calls = generate_workload(WorkloadParams(n_calls=10_000, seed=11), TOPO)
+        calls = generate_workload(WorkloadParams(n_calls=10_000, seed=11))
         mean = math.fsum(calls.arrival_ms) / len(calls)
         center = DEFAULT_ARRIVAL_WINDOW_MS / 2
         assert abs(mean - center) < 0.05 * center
 
     def test_positions_cover_quadrants(self):
-        calls = generate_workload(WorkloadParams(n_calls=10_000, seed=11), TOPO, positions=True)
-        half = TOPO.area_km / 2
+        placed = positions(WorkloadParams(n_calls=10_000, seed=11))
+        half = AREA_KM / 2
         counts = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
-        for x, y in zip(calls.x_km, calls.y_km):
+        for x, y in placed:
             counts[(bool(x >= half), bool(y >= half))] += 1
         for quadrant in counts.values():
-            assert 0.20 <= quadrant / len(calls) <= 0.30
+            assert 0.20 <= quadrant / len(placed) <= 0.30
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(0, 500), seed=st.integers(-2**63, 2**64 - 1),
            demand=st.floats(min_value=5e-324, allow_infinity=False))
-    def test_positions_leave_the_calls_bit_identical(self, n, seed, demand):
-        """Positions come from their own substream: drawing them or not
-        changes no bit of the ids, arrivals or demands."""
+    def test_positions_leave_the_calls_bit_identical(self, tmp_path_factory, n, seed, demand):
+        """Positions come from their own substream: the calls a workload
+        file holds are, bit for bit, the ids, arrivals and demands that a
+        run generates without them."""
         params = WorkloadParams(n_calls=n, seed=seed, demand_ms=demand)
-        calls = generate_workload(params, TOPO)
-        placed = generate_workload(params, TOPO, positions=True)
-        assert calls.x_km is None and calls.y_km is None
-        assert len(placed.x_km) == len(placed.y_km) == n
+        path = tmp_path_factory.mktemp("wl") / "calls.csv"
+        export(params, path)
+        calls, placed = generate_workload(params), import_workload(path)[0]
+        assert len(positions(params)) == n
         for name in ("ids", "arrival_ms", "demand_ms"):
             column, placed_column = getattr(calls, name), getattr(placed, name)
             assert column.dtype == placed_column.dtype
@@ -113,7 +122,7 @@ class TestAverageArrivalRange:
         assert average_arrival_range(np.array([1.0, 2.0, 3.0, 4.0])) == 2.5
 
     def test_matches_fsum_mean(self):
-        calls = generate_workload(WorkloadParams(n_calls=900), TOPO)
+        calls = generate_workload(WorkloadParams(n_calls=900))
         oracle = math.fsum(calls.arrival_ms) / len(calls)
         assert average_arrival_range(calls.arrival_ms) == pytest.approx(oracle, rel=1e-12)
 
@@ -142,36 +151,30 @@ def test_running_sum_matches_loop(values, start, chunk):
 
 class TestWorkloadFiles:
     def test_round_trip_bit_identical(self, tmp_path):
-        calls = generate_workload(WorkloadParams(n_calls=64, seed=5), TOPO, positions=True)
+        params = WorkloadParams(n_calls=64, seed=5)
         path = tmp_path / "calls.csv"
-        export(calls, path)
-        assert same_workload(import_workload(path)[0], calls)
+        export(params, path)
+        assert same_workload(import_workload(path)[0], generate_workload(params))
 
     def test_round_trip_across_parse_blocks(self, tmp_path):
         """A file of several READ_BYTES blocks: each block is parsed as it
         is read, and the digest is the whole file's."""
-        calls = generate_workload(WorkloadParams(n_calls=3000, seed=5), TOPO, positions=True)
+        params = WorkloadParams(n_calls=3000, seed=5)
         path = tmp_path / "calls.csv"
-        export(calls, path)
+        export(params, path)
         assert path.stat().st_size > 2 * traffic.READ_BYTES
         back, digest = import_workload(path)
-        assert same_workload(back, calls)
+        assert same_workload(back, generate_workload(params))
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_format_header_and_width(self):
-        calls = generate_workload(WorkloadParams(n_calls=3, seed=5), TOPO, positions=True)
         parts = []
-        format_workload(parts.append, calls)
+        format_workload(parts.append, WorkloadParams(n_calls=3, seed=5))
         text = "".join(parts)
         lines = text.splitlines()
         assert lines[0] == WORKLOAD_HEADER
         assert len(lines) == 4
         assert all(len(ln.split(",")) == 5 for ln in lines[1:])
-
-    def test_format_refuses_calls_without_positions(self):
-        calls = generate_workload(WorkloadParams(n_calls=3, seed=5), TOPO)
-        with pytest.raises(ValueError, match="positions"):
-            format_workload([].append, calls)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -205,16 +208,15 @@ class TestWorkloadFiles:
         calls = import_workload(path)[0].sorted_by_arrival()
         assert calls.ids.tolist() == [2, 4, 7, 9]
         assert calls.arrival_ms.tolist() == [1.0, 1.0, 3.0, 3.0]
-        assert calls.x_km.tolist() == [0.2, 0.4, 0.1, 0.3]
         assert calls.demand_ms.tolist() == [0.5, 0.7, 0.4, 0.6]
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=1, max_value=40), seed=st.integers(0, 2**32 - 1))
     def test_round_trip_any_seed(self, tmp_path_factory, n, seed):
-        calls = generate_workload(WorkloadParams(n_calls=n, seed=seed), TOPO, positions=True)
+        params = WorkloadParams(n_calls=n, seed=seed)
         path = tmp_path_factory.mktemp("wl") / "calls.csv"
-        export(calls, path)
-        assert same_workload(import_workload(path)[0], calls)
+        export(params, path)
+        assert same_workload(import_workload(path)[0], generate_workload(params))
 
 
 ROW = st.tuples(
@@ -233,15 +235,24 @@ ROW = st.tuples(
                (0, 2.2250738585072014e-308, -5e-324, 0.0, 2.2250738585072014e-308)])
 def test_round_trip_adversarial_values_bit_for_bit(tmp_path_factory, rows):
     """Export then import keeps every bit, which same_workload does not
-    check: it counts -0.0 equal to 0.0."""
+    check: it counts -0.0 equal to 0.0. The rows stand in for the drawn
+    columns; the positions the file holds keep every bit too."""
     ids, *floats = zip(*rows) if rows else [()] * 5
-    calls = Workload(np.array(ids, dtype=np.int64), *(np.array(c, dtype=float) for c in floats))
+    columns = np.array(ids, dtype=np.int64), *(np.array(c, dtype=float) for c in floats)
     path = tmp_path_factory.mktemp("wl") / "calls.csv"
-    export(calls, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traffic, "_file_columns", lambda params: columns)
+        export(WorkloadParams(n_calls=len(rows)), path)
     back = import_workload(path)[0]
-    assert np.array_equal(back.ids, calls.ids)
-    for name in ("arrival_ms", "x_km", "y_km", "demand_ms"):
-        assert np.array_equal(getattr(back, name).view(np.int64), getattr(calls, name).view(np.int64))
+    assert back.ids.tolist() == list(ids)
+    assert bits(back.arrival_ms) == bits(columns[1])
+    assert bits(back.demand_ms) == bits(columns[4])
+    for row, line in zip(rows, path.read_text().splitlines()[1:], strict=True):
+        assert bits(map(float, line.split(",")[1:])) == bits(row[1:])
+
+
+def bits(values) -> list[int]:
+    return np.fromiter(values, dtype=float).view(np.int64).tolist()
 
 
 # fields valid in every column, and fields that break a rule in some column:
@@ -296,9 +307,8 @@ def test_import_matches_row_by_row_reader(
 def test_undecodable_byte_past_first_block(tmp_path, bad_row):
     """Refused with the whole file's decode error and position, also when
     a row in the first block breaks a rule."""
-    calls = generate_workload(WorkloadParams(n_calls=3000, seed=5), TOPO, positions=True)
     path = tmp_path / "calls.csv"
-    export(calls, path)
+    export(WorkloadParams(n_calls=3000, seed=5), path)
     data = bytearray(path.read_bytes())
     if bad_row:
         data = data.replace(b"\n0,", b"\n0,oops,", 1)
