@@ -15,8 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from .engine import (
     NO_BSC,
     ComparisonReport,
@@ -132,7 +130,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     raises ValueError (exit 2) before any subcommand runs.
     """
     values = {"n_calls": 900}
-    if args.config:
+    if getattr(args, "config", None):
         values.update(load_config_file(args.config))
     for key, (flag, _, _) in CONFIG_KEYS.items():
         raw = getattr(args, key, None)
@@ -148,14 +146,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_calls(config: RunConfig, workload_path: str | None) -> tuple[Workload, dict]:
-    """The calls to simulate, sorted by arrival, and the report params that
-    say where they came from: the file's digest, or what generated them."""
+    """The calls to simulate and the report params that say where they came
+    from: the file's digest, or what generated them."""
     if workload_path is not None:
         try:
+            if not workload_path:  # Path("") is ".", a directory never given
+                raise ValueError("the path is empty")
             calls, digest = import_workload(workload_path)
         except (OSError, ValueError) as exc:
             raise ValueError(f"workload '{workload_path}': {exc}") from exc
-        return calls.sorted_by_arrival(), {"workload_sha256": digest}
+        return calls, {"workload_sha256": digest}
     params = config.workload_params
     source = {
         "seed": params.seed,
@@ -220,9 +220,10 @@ RECORDS_MARKER = "\0records"  # json.dumps's stand-in for a report: no document 
 
 
 def write_json(write, doc: dict) -> None:
-    """Write json.dumps(doc, indent=2). A SimulationReport in `doc` stands
-    for its per-call records array, rendered from the report's columns where
-    json.dumps put its marker, indented as the line that holds the marker."""
+    """Write json.dumps(doc, indent=2) and a newline. A SimulationReport in
+    `doc` stands for its per-call records array, rendered from the report's
+    columns where json.dumps put its marker, indented as the line that holds
+    the marker."""
     reports = []
 
     def marked(value) -> str:
@@ -236,7 +237,7 @@ def write_json(write, doc: dict) -> None:
         write(piece)
         line = piece[piece.rfind("\n") + 1:]
         _write_json_records(write, report, "\n" + " " * (len(line) - len(line.lstrip(" "))))
-    write(last)
+    write(last + "\n")
 
 
 CHUNK_CALLS = 4096  # calls rendered per write: bounds the text held at once
@@ -265,18 +266,14 @@ def _write_json_records(write, report: SimulationReport, pad: str) -> None:
     def outcome(disposition: str, bsc: int | None) -> str:
         return f'"{disposition}",{pad}    "serving_bsc": {"null" if bsc is None else bsc}'
 
-    # a float's str is its repr, as json writes it; json writes a non-finite
-    # one as Infinity or NaN, str as inf or nan
+    # a float's str is its repr, as json writes a finite one
     record = (
         f'{pad}  {{{pad}    "call_id": %d,{pad}    "disposition": %s,'
         f'{pad}    "execution_time_ms": %s,{pad}    "slices_used": %d{pad}  }}'
     )
-    finite = bool(np.isfinite(report.execution_times_ms).all())
     opening = "["
-    for ids, outcomes, times, slices in _record_chunks(report, outcome):
-        if not finite:
-            times = list(map(json.dumps, times))
-        write(opening + ",".join(map(record.__mod__, zip(ids, outcomes, times, slices))))
+    for chunk in _record_chunks(report, outcome):
+        write(opening + ",".join(map(record.__mod__, zip(*chunk))))
         opening = ","
     write("[]" if opening == "[" else pad + "]")
 
@@ -375,7 +372,6 @@ def _cmd_run(args: argparse.Namespace, config: RunConfig, write) -> int:
     if config.format == "json":
         params = report_params(config, report, source)
         write_json(write, report_document(report, params, args.full))
-        write("\n")
     else:
         write_records_csv(write, report)
     return EXIT_OK
@@ -400,7 +396,6 @@ def _cmd_compare(args: argparse.Namespace, config: RunConfig, write) -> int:
     if config.format == "json":
         params = report_params(config, lb, source)
         write_json(write, comparison_document(comparison, params, args.full))
-        write("\n")
     else:
         write(comparison_csv(comparison))
     return EXIT_OK
@@ -439,7 +434,7 @@ def _cmd_sweep(args: argparse.Namespace, config: RunConfig, write) -> int:
     return EXIT_OK
 
 
-def _cmd_erlang(args: argparse.Namespace) -> int:
+def _cmd_erlang(args: argparse.Namespace, config: RunConfig, write) -> int:
     if args.a is not None and (args.lam is not None or args.mu is not None):
         raise ValueError("give either --a or --lambda with --mu, not both")
     if args.a is not None:
@@ -448,7 +443,7 @@ def _cmd_erlang(args: argparse.Namespace) -> int:
         load = OfferedLoad.from_rates(args.lam, args.mu)
     else:
         raise ValueError("offered load missing: give --a or both --lambda and --mu")
-    print(f"{erlang_b(load, args.n):.6f}")
+    write(f"{erlang_b(load, args.n):.6f}\n")
     return EXIT_OK
 
 
@@ -511,29 +506,26 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "erlang":
-            code = args.handler(args)
-        else:
-            workload = getattr(args, "workload", None)
-            if workload is not None:
-                keys = [key for key in WORKLOAD_KEYS if getattr(args, key) is not None]
-                if keys:
-                    flags = ", ".join(CONFIG_KEYS[key][0] for key in keys)
-                    raise ValueError(
-                        f"{flags}: the calls come from --workload '{workload}', "
-                        "so these flags would set nothing"
-                    )
-            config = resolve_config(args)
-            if getattr(args, "full", False) and config.format == "csv":
-                raise ValueError("--full adds per-call records to JSON only, and format is csv")
-            if workload and config.output and _same_file(config.output, workload):
+        workload = getattr(args, "workload", None)
+        if workload is not None:
+            keys = [key for key in WORKLOAD_KEYS if getattr(args, key) is not None]
+            if keys:
+                flags = ", ".join(CONFIG_KEYS[key][0] for key in keys)
                 raise ValueError(
-                    f"--output '{config.output}' is the --workload file: "
-                    "writing the report would destroy the calls it replays"
+                    f"{flags}: the calls come from --workload '{workload}', "
+                    "so these flags would set nothing"
                 )
-            # opened before the work, so an unwritable path is refused first
-            with _output(config.output) as write:
-                code = args.handler(args, config, write)
+        config = resolve_config(args)
+        if getattr(args, "full", False) and config.format == "csv":
+            raise ValueError("--full adds per-call records to JSON only, and format is csv")
+        if workload and config.output and _same_file(config.output, workload):
+            raise ValueError(
+                f"--output '{config.output}' is the --workload file: "
+                "writing the report would destroy the calls it replays"
+            )
+        # opened before the work, so an unwritable path is refused first
+        with _output(config.output) as write:
+            code = args.handler(args, config, write)
         sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
         return code
     except BrokenPipeError:

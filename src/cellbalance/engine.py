@@ -16,6 +16,9 @@ calls complete in stable order of (k, queue position). The first ones,
 up to the neighbors' pooled capacity, are handed over and the rest are
 blocked. The rotation hands out one channel per neighbor with a channel
 left, round after round, whatever the calls are.
+
+A Workload holds only calls the engines can run, so they check none, and
+a SimulationReport refuses a total or quantum that overflows a float.
 """
 
 import math
@@ -84,10 +87,11 @@ class SimulationReport:
     slices. The columns are the run's only record of outcomes; every count
     is read from the serving-BSC column.
 
-    Raises RuntimeError, an internal fault, unless the columns have one
-    length, every serving BSC is NO_BSC or the index of a pool, and no pool
-    is over-assigned. Two reports are equal when their scalar fields are
-    and their columns hold equal values.
+    Raises ValueError, a run its input overflows, unless the total and the
+    quantum are finite, and so every time. Raises RuntimeError, an internal
+    fault, unless the columns have one length, every serving BSC is NO_BSC
+    or the index of a pool, and no pool is over-assigned. Two reports are
+    equal when their scalar fields are and their columns hold equal values.
     """
 
     system: str
@@ -100,6 +104,13 @@ class SimulationReport:
     slices: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.total_execution_time_ms):
+            raise ValueError(
+                f"{self.system} run: total execution time "
+                f"{self.total_execution_time_ms} ms overflows a float"
+            )
+        if not math.isfinite(self.quantum_ms or 0.0):
+            raise ValueError(f"{self.system} run: quantum {self.quantum_ms} ms overflows a float")
         columns = (self.call_ids, self.serving_bscs, self.execution_times_ms, self.slices)
         lengths = sorted({len(column) for column in columns})
         codes, pools = self.serving_bscs, list(self.bsc_channels)
@@ -237,17 +248,7 @@ def slices_to_finish(demand_ms: float, quantum_ms: float) -> int:
     return slices
 
 
-def _check_sorted(calls: Workload) -> None:
-    arrivals = calls.arrival_ms
-    late = np.flatnonzero(arrivals[1:] < arrivals[:-1])
-    if late.size:
-        prev, cur = late[0], late[0] + 1
-        raise ValueError(
-            f"calls not sorted by arrival: call {calls.ids[cur]} at "
-            f"{arrivals[cur]} ms after call {calls.ids[prev]} at {arrivals[prev]} ms"
-        )
-
-
+@np.errstate(over="ignore")  # the report refuses a total or quantum that overflows
 def simulate_normal(
     topology: NetworkTopology,
     calls: Workload,
@@ -260,7 +261,6 @@ def simulate_normal(
     blocked requests spend that time too before rejection, but their
     execution time in the report is zero since they received no service.
     """
-    _check_sorted(calls)
     n = len(calls)
     home = min(n, topology.bsc_channels[HOME_BSC])
     serving, times = _home_admitted(calls, home, params.waiting_ms)
@@ -296,6 +296,7 @@ def _rotation_targets(capacities: tuple[int, ...], count: int) -> np.ndarray:
     return np.broadcast_to(np.arange(len(pools)), has_channel.shape)[has_channel][:count]
 
 
+@np.errstate(over="ignore")  # the report refuses a total or quantum that overflows
 def simulate_load_balanced(
     topology: NetworkTopology,
     calls: Workload,
@@ -311,7 +312,6 @@ def simulate_load_balanced(
     exhausted pools, advancing one position per assignment). Once no
     neighbor has a channel left, the rest of the queue is blocked.
     """
-    _check_sorted(calls)
     pools = topology.bsc_channels
     capacities = pools[HOME_BSC + 1:]
     n = len(calls)

@@ -4,11 +4,13 @@ Arrivals are uniform over a fixed window. One seed drives two independent
 RNG substreams: arrival times, and the positions that only a workload file
 holds, uniform over a square AREA_KM on a side. Regenerating with the same
 params is bit-identical, and a file holds the very calls a run generates.
+Every Workload, generated, read from a file or built by hand, holds calls
+the engines can run: sorted by arrival, with finite, valid values.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,21 +26,34 @@ INT64 = np.iinfo(np.int64)
 
 @dataclass(frozen=True, eq=False)
 class Workload:
-    """Calls as columns, one row per call, in the workload file's order:
-    id, arrival time and handover work, which is all the engines read."""
+    """Calls as columns, one row per call, in arrival order: id, arrival
+    time and handover work, which is all the engines read. Raises ValueError
+    unless arrivals are finite, >= 0 and never decrease and demands are
+    finite and > 0, so the engines run any Workload as it is."""
 
     ids: np.ndarray
     arrival_ms: np.ndarray
     demand_ms: np.ndarray
 
+    def __post_init__(self) -> None:
+        arrivals, demands = self.arrival_ms, self.demand_ms
+        # min and max carry a NaN through, so it breaks both rules
+        low, high = arrivals.min(initial=math.inf), arrivals.max(initial=-math.inf)
+        if not (0 <= low and high < math.inf):
+            raise ValueError(f"arrival_ms from {low} to {high}, need finite and >= 0")
+        low, high = demands.min(initial=math.inf), demands.max(initial=-math.inf)
+        if not (0 < low and high < math.inf):
+            raise ValueError(f"demand_ms from {low} to {high}, need finite and > 0")
+        late = np.flatnonzero(arrivals[1:] < arrivals[:-1])
+        if late.size:
+            prev, cur = late[0], late[0] + 1
+            raise ValueError(
+                f"calls not sorted by arrival: call {self.ids[cur]} at "
+                f"{arrivals[cur]} ms after call {self.ids[prev]} at {arrivals[prev]} ms"
+            )
+
     def __len__(self) -> int:
         return len(self.ids)
-
-    def sorted_by_arrival(self) -> "Workload":
-        """The same calls by arrival time; calls arriving together keep
-        their order."""
-        order = np.argsort(self.arrival_ms, kind="stable")
-        return Workload(*(getattr(self, f.name)[order] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -136,22 +151,24 @@ def _file_columns(params: WorkloadParams) -> tuple[np.ndarray, ...]:
 
 
 def import_workload(path: str | Path) -> tuple[Workload, str]:
-    """Read a workload file written by format_workload: its calls, in file
-    order, and the sha256 of its bytes.
+    """Read a workload file written by format_workload: its calls, in
+    arrival order with ties in file order, and the sha256 of its bytes.
 
     Reads the file once, in blocks of whole lines just over READ_BYTES long,
     and parses each block as it arrives, keeping no position. Rejects,
     naming the line, a row without five fields, a field that does not
-    parse, a call id that is duplicate or outside int64, an arrival time
-    that is not finite and non-negative and a demand that is not finite and
-    positive.
+    parse, a call id that is duplicate or outside int64, and a row whose
+    arrival or demand Workload refuses.
     """
     digest = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        columns = _read_columns(fh, digest)
-    if columns is None:
-        raise _refusal(path)
-    return Workload(*columns), digest.hexdigest()
+    try:
+        with Path(path).open("rb") as fh:
+            ids, arrival_ms, demand_ms = _read_columns(fh, digest)
+        order = np.argsort(arrival_ms, kind="stable")
+        calls = Workload(ids[order], arrival_ms[order], demand_ms[order])
+    except ValueError:
+        raise _refusal(path) from None
+    return calls, digest.hexdigest()
 
 
 READ_BYTES = 1 << 16  # file bytes per block, to a whole line: bounds the text and strings held
@@ -169,57 +186,44 @@ def _text_blocks(fh, digest):
         yield block.decode()
 
 
-def _read_columns(fh, digest) -> tuple[np.ndarray, ...] | None:
-    """The file's id, arrival and demand columns, block by block; None if
-    the file does not decode, has no header or a row breaks a rule that
-    _refusal checks."""
+def _read_columns(fh, digest) -> tuple[np.ndarray, ...]:
+    """The file's id, arrival and demand columns, block by block. Raises
+    ValueError, which _refusal explains, if the file does not decode, has no
+    header or a row breaks a file rule."""
     id_blocks = [np.zeros(0, dtype=np.int64)]  # so that no rows concatenate to no calls
     value_blocks = [np.zeros((2, 0))]
     header = False
-    try:
-        for text in _text_blocks(fh, digest):
-            rows = [line for line in text.splitlines() if line.strip()]
-            if rows and not header:
-                if rows.pop(0).strip() != WORKLOAD_HEADER:
-                    return None
-                header = True
-            if rows:
-                block = _parse_rows(rows)
-                if block is None:
-                    return None
-                id_blocks.append(block[0])
-                value_blocks.append(block[1])
-    except UnicodeDecodeError:
-        return None
+    for text in _text_blocks(fh, digest):
+        rows = [line for line in text.splitlines() if line.strip()]
+        if rows and not header:
+            header = rows.pop(0).strip() == WORKLOAD_HEADER
+            if not header:
+                raise ValueError("no header")
+        if rows:
+            ids, values = _parse_rows(rows)
+            id_blocks.append(ids)
+            value_blocks.append(values)
     ids = np.concatenate(id_blocks)
     ordered = np.sort(ids)
     if not header or (ordered[1:] == ordered[:-1]).any():
-        return None
+        raise ValueError("no header or a duplicate call id")
     return ids, *np.concatenate(value_blocks, axis=1)
 
 
-def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Rows as their id column and their arrival and demand columns, each
     field column parsed in one pass and both positions parsed, then
-    dropped; None if a row breaks a rule that _refusal checks on one row."""
+    dropped. Raises ValueError if a row has not five fields, a field does
+    not parse or an id is outside int64."""
     if any(row.count(",") != 4 for row in rows):
-        return None
+        raise ValueError("a row without five fields")
     fields = ",".join(rows).split(",")
-    try:
-        ids = list(map(int, fields[0::5]))
-        del fields[0::5]
-        values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
-    except ValueError:
-        return None
-    values = values.reshape(-1, 4).T[[0, 3]]
-    arrival_ms, demand_ms = values
-    if not (
-        INT64.min <= min(ids) <= max(ids) <= INT64.max
-        and ((arrival_ms >= 0) & (arrival_ms < np.inf)).all()
-        and (np.isfinite(demand_ms) & (demand_ms > 0)).all()
-    ):
-        return None
-    return np.array(ids, dtype=np.int64), values
+    ids = list(map(int, fields[0::5]))
+    del fields[0::5]
+    values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
+    if not INT64.min <= min(ids) <= max(ids) <= INT64.max:
+        raise ValueError("a call id outside int64")
+    return np.array(ids, dtype=np.int64), values.reshape(-1, 4).T[[0, 3]]
 
 
 def _refusal(path: str | Path) -> Exception:

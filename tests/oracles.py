@@ -212,7 +212,8 @@ def records_csv_oracle(report) -> str:
 
 def import_workload_oracle(path):
     """A workload file read row by row, as import_workload read it before
-    it parsed whole columns, naming the file line of the first bad row."""
+    it parsed whole columns, naming the file line of the first bad row;
+    its calls in stable arrival order."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines or lines[0][1].strip() != WORKLOAD_HEADER:
@@ -240,4 +241,5 @@ def import_workload_oracle(path):
         ids.append(call_id)
         values.append(row)
     columns = np.array(values, dtype=float).reshape(-1, 4).T.copy()
-    return Workload(np.array(ids, dtype=np.int64), columns[0], columns[3])
+    order = np.argsort(columns[0], kind="stable")
+    return Workload(np.array(ids, dtype=np.int64)[order], columns[0][order], columns[3][order])

@@ -607,10 +607,14 @@ class TestGenAndReplay:
     @pytest.mark.parametrize("flags", [[], ["--calls", "5"]])
     def test_empty_workload_path_exit_2(self, capsys, command, flags):
         """An empty --workload counted as none: `run lb --workload "" --calls 5`
-        generated 5 calls and exited 0."""
+        generated 5 calls and exited 0. Then the error named the directory
+        ".", which Path("") is."""
         assert main(command + ["--workload", "", *flags]) == EXIT_USAGE
         captured = capsys.readouterr()
-        named = "--calls: the calls come from --workload ''" if flags else "workload '': "
+        named = (
+            "--calls: the calls come from --workload ''" if flags
+            else "workload '': the path is empty\n"
+        )
         assert captured.err.startswith(f"error: {named}")
         assert captured.out == ""
 

@@ -265,9 +265,9 @@ class TestSimulateNormal:
         assert report.serving_bscs.tolist() == [HOME_BSC, HOME_BSC, NO_BSC, NO_BSC]
 
     def test_rejects_unsorted_calls(self):
-        calls = workload_of([5, 1])
+        """Refused as the calls are built, so no engine ever sees them."""
         with pytest.raises(ValueError, match="not sorted"):
-            simulate_normal(DEFAULT_TOPO, calls)
+            simulate_normal(DEFAULT_TOPO, workload_of([5, 1]))
 
     def test_total_matches_record_sum_at_scale(self):
         calls = default_workload()

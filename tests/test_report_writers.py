@@ -1,10 +1,12 @@
 """The streamed `--full` JSON and record CSV, byte for byte against the
-writers they replaced (oracles.py), on stdout and in an --output file."""
+writers they replaced (oracles.py), on stdout and in an --output file; and
+every JSON document strict, with no Infinity or NaN."""
 
 import io
 import json
 import tempfile
 import tracemalloc
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import comparison_document_oracle, records_csv_oracle, report_document_oracle
 
 from cellbalance import cli
+from cellbalance.traffic import WORKLOAD_HEADER
 
 CHUNK = cli.CHUNK_CALLS
 SPIED = ("simulate_normal", "simulate_load_balanced", "compare_systems", "report_params")
@@ -73,16 +76,22 @@ BIG_POOLS = ["--bsc-channels", "2000,1500,1000"]  # every disposition at CHUNK c
 INF_SLICES = ["--bsc-channels", "0,40", "--quantum", "1e308", "--context-switch", "1e308"]
 
 
+def strict_json(text: str):
+    """The document json.loads reads, refusing the Infinity, -Infinity and
+    NaN that json.dumps writes but JSON does not hold."""
+
+    def refuse(constant):
+        raise AssertionError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @settings(max_examples=60, deadline=None)
 @given(argv=commands())
 @example(argv=["compare", "--calls", "0", "--full"])
 @example(argv=["run", "lb", "--calls", "0", "--format", "csv"])
 @example(argv=["compare", "--calls", "300", "--bsc-channels", "0,0,0", "--full"])
 @example(argv=["run", "lb", "--calls", "300", "--bsc-channels", "0,0", "--format", "csv"])
-# a slice costing more than the largest float, for 40 calls all handed over:
-# json writes Infinity, CSV inf
-@example(argv=["compare", "--calls", "40", *INF_SLICES, "--full"])
-@example(argv=["run", "lb", "--calls", "40", *INF_SLICES, "--format", "csv"])
 @example(argv=["compare", "--calls", str(2 * CHUNK), *BIG_POOLS, "--full"])
 @example(argv=["run", "lb", "--calls", str(2 * CHUNK), *BIG_POOLS, "--format", "csv"])
 @example(argv=["run", "lb", "--calls", str(CHUNK), *BIG_POOLS, "--full"])
@@ -94,10 +103,43 @@ def test_streamed_bytes_equal_oracle(argv):
         output = Path(tmp) / "document"
         console, seen = run(argv, output)
         expected = oracle_document(argv, seen)
-        if "1e308" in argv:
-            assert (",inf," if "csv" in argv else "Infinity") in expected
         assert output.read_bytes() == expected.encode()
     assert run(argv)[0] == console + expected
+    if "csv" not in argv:
+        strict_json(expected)
+
+
+HUGE_ARRIVALS = "0,1.5e308,0.1,0.1,0.4\n1,1.6e308,0.2,0.2,0.4\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a slice costing more than the largest float: each handed-over
+        # call's time is inf; json wrote Infinity, CSV inf
+        ["compare", "--calls", "3", *INF_SLICES],
+        ["compare", "--calls", "40", *INF_SLICES, "--full"],
+        ["run", "lb", "--calls", "40", *INF_SLICES, "--format", "csv"],
+        # arrivals summing past the largest float: the normal total, and the
+        # quantum (mean arrival over queue size) when no neighbor has a channel
+        ["compare", "--workload", "HUGE"],
+        ["run", "lb", "--workload", "HUGE", "--bsc-channels", "0,0"],
+    ],
+)
+def test_overflowing_run_exits_2(tmp_path, capsys, argv):
+    """These wrote Infinity or printed nan, with numpy's overflow warning,
+    and exited 0."""
+    huge = tmp_path / "huge.csv"
+    huge.write_text(WORKLOAD_HEADER + "\n" + HUGE_ARRIVALS)
+    argv = [str(huge) if arg == "HUGE" else arg for arg in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == cli.EXIT_USAGE
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "overflows a float" in captured.err
+    assert captured.out == ""
 
 
 def test_write_json_refuses_what_json_refuses():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,25 @@ def test_running_sum_matches_loop(values, start, chunk):
         assert running_sum(values, start) == sequential_sum([start] + values)
 
 
+@pytest.mark.parametrize(
+    "arrivals, demands, message",
+    [
+        ([1, math.nan, 3], 0.4, "arrival_ms from nan to nan, need finite and >= 0"),
+        ([-1, 2], 0.4, "arrival_ms from -1.0 to 2.0, need finite and >= 0"),
+        ([1, math.inf], 0.4, "arrival_ms from 1.0 to inf, need finite and >= 0"),
+        ([5, 1], 0.4, "calls not sorted by arrival: call 1 at 1.0 ms after call 0 at 5.0 ms"),
+        ([1, 2], [0.0, 0.4], "demand_ms from 0.0 to 0.4, need finite and > 0"),
+        ([1, 2], [0.4, math.nan], "demand_ms from nan to nan, need finite and > 0"),
+        ([1, 2], [0.4, math.inf], "demand_ms from 0.4 to inf, need finite and > 0"),
+    ],
+)
+def test_workload_refuses_calls_no_engine_can_run(arrivals, demands, message):
+    """A hand-built Workload is held to the rules a workload file is: a NaN
+    arrival gave NaN totals, a negative one a negative execution time."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        workload_of(arrivals, demands)
+
+
 class TestWorkloadFiles:
     def test_round_trip_bit_identical(self, tmp_path):
         params = WorkloadParams(n_calls=64, seed=5)
@@ -205,7 +225,7 @@ class TestWorkloadFiles:
         path = tmp_path / "calls.csv"
         rows = ["7,3.0,0.1,0.1,0.4", "2,1.0,0.2,0.2,0.5", "9,3.0,0.3,0.3,0.6", "4,1.0,0.4,0.4,0.7"]
         path.write_text(WORKLOAD_HEADER + "\n" + "\n".join(rows) + "\n")
-        calls = import_workload(path)[0].sorted_by_arrival()
+        calls = import_workload(path)[0]
         assert calls.ids.tolist() == [2, 4, 7, 9]
         assert calls.arrival_ms.tolist() == [1.0, 1.0, 3.0, 3.0]
         assert calls.demand_ms.tolist() == [0.5, 0.7, 0.4, 0.6]
@@ -236,7 +256,8 @@ ROW = st.tuples(
 def test_round_trip_adversarial_values_bit_for_bit(tmp_path_factory, rows):
     """Export then import keeps every bit, which same_workload does not
     check: it counts -0.0 equal to 0.0. The rows stand in for the drawn
-    columns; the positions the file holds keep every bit too."""
+    columns, and come back in stable arrival order; the positions the file
+    holds keep every bit too."""
     ids, *floats = zip(*rows) if rows else [()] * 5
     columns = np.array(ids, dtype=np.int64), *(np.array(c, dtype=float) for c in floats)
     path = tmp_path_factory.mktemp("wl") / "calls.csv"
@@ -244,9 +265,10 @@ def test_round_trip_adversarial_values_bit_for_bit(tmp_path_factory, rows):
         patch.setattr(traffic, "_file_columns", lambda params: columns)
         export(WorkloadParams(n_calls=len(rows)), path)
     back = import_workload(path)[0]
-    assert back.ids.tolist() == list(ids)
-    assert bits(back.arrival_ms) == bits(columns[1])
-    assert bits(back.demand_ms) == bits(columns[4])
+    order = np.argsort(columns[1], kind="stable")
+    assert back.ids.tolist() == columns[0][order].tolist()
+    assert bits(back.arrival_ms) == bits(columns[1][order])
+    assert bits(back.demand_ms) == bits(columns[4][order])
     for row, line in zip(rows, path.read_text().splitlines()[1:], strict=True):
         assert bits(map(float, line.split(",")[1:])) == bits(row[1:])
 
