@@ -30,7 +30,6 @@ from .teletraffic import OfferedLoad, blocking_sweep, erlang_b, format_blocking_
 from .topology import CELLS_PER_BSC, HOME_BSC, NetworkTopology
 from .traffic import (
     AREA_KM,
-    Workload,
     WorkloadParams,
     format_workload,
     generate_workload,
@@ -143,26 +142,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         format=values.get("format", "json"),
         output=values.get("output"),
     )
-
-
-def _load_calls(config: RunConfig, workload_path: str | None) -> tuple[Workload, dict]:
-    """The calls to simulate and the report params that say where they came
-    from: the file's digest, or what generated them."""
-    if workload_path is not None:
-        try:
-            if not workload_path:  # Path("") is ".", a directory never given
-                raise ValueError("the path is empty")
-            calls, digest = import_workload(workload_path)
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"workload '{workload_path}': {exc}") from exc
-        return calls, {"workload_sha256": digest}
-    params = config.workload_params
-    source = {
-        "seed": params.seed,
-        "arrival_window_ms": params.arrival_window_ms,
-        "demand_ms": params.demand_ms,
-    }
-    return generate_workload(params), source
 
 
 # --- report serialization ---------------------------------------------------
@@ -325,16 +304,18 @@ def console_block(report: SimulationReport) -> str:
 
 @contextmanager
 def _output(path: str | None):
-    """A write function for the document: into `path`, or onto stdout."""
+    """A write function for the document: into `path`, or onto stdout. A
+    path that cannot be opened or written, at close too, is a usage error."""
     if path is None:
         yield sys.stdout.write
         return
     try:
-        fh = open(path, "w")
+        with open(path, "w") as fh:
+            yield fh.write
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         raise ValueError(f"cannot write output '{path}': {exc.strerror}") from exc
-    with fh:
-        yield fh.write
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -345,60 +326,92 @@ def _same_file(a: str, b: str) -> bool:
         return False
 
 
-@contextmanager
-def _quantum_named(workload_path: str | None):
-    """Says which calls left the quantum undefined, and how to set one."""
+# --- subcommands ------------------------------------------------------------
+# handler(args, config) does the work and every refusal, then returns
+# emit(write), which prints the console lines and writes the document: main
+# opens --output for emit alone, so a refused command leaves the file as it was.
+
+
+def _simulated(args: argparse.Namespace, config: RunConfig, simulate):
+    """simulate(topology, calls, lb_params) on the command's calls, and the
+    report params that say where they came from: the --workload file's
+    digest, or what generated them."""
+    path = args.workload
+    if args.full and config.format == "csv":
+        raise ValueError("--full adds per-call records to JSON only, and format is csv")
+    if path is None:
+        params = config.workload_params
+        calls = generate_workload(params)
+        source = {
+            "seed": params.seed,
+            "arrival_window_ms": params.arrival_window_ms,
+            "demand_ms": params.demand_ms,
+        }
+        named = "the generated workload"
+    else:
+        keys = [key for key in WORKLOAD_KEYS if getattr(args, key) is not None]
+        if keys:
+            flags = ", ".join(CONFIG_KEYS[key][0] for key in keys)
+            raise ValueError(
+                f"{flags}: the calls come from --workload '{path}', "
+                "so these flags would set nothing"
+            )
+        if config.output and _same_file(config.output, path):
+            raise ValueError(
+                f"--output '{config.output}' is the --workload file: "
+                "writing the report would destroy the calls it replays"
+            )
+        named = f"workload '{path}'"
+        try:
+            if not path:  # Path("") is ".", a directory never given
+                raise ValueError("the path is empty")
+            calls, digest = import_workload(path)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{named}: {exc}") from exc
+        source = {"workload_sha256": digest}
     try:
-        yield
+        return simulate(config.topology, calls, config.lb_params), source
     except UndefinedQuantum as exc:
-        source = ("the generated workload" if workload_path is None
-                  else f"workload '{workload_path}'")
         raise ValueError(
-            f"{source}: the overflow calls' mean arrival is {exc.avg_arrival_range_ms} ms, "
+            f"{named}: the overflow calls' mean arrival is {exc.avg_arrival_range_ms} ms, "
             "so the round-robin quantum (mean arrival / overflow calls) is undefined; "
             "set one with --quantum"
         ) from exc
 
 
-# --- subcommands ------------------------------------------------------------
-
-
-def _cmd_run(args: argparse.Namespace, config: RunConfig, write) -> int:
-    calls, source = _load_calls(config, args.workload)
+def _cmd_run(args: argparse.Namespace, config: RunConfig):
     simulate = simulate_normal if args.system == "normal" else simulate_load_balanced
-    with _quantum_named(args.workload):
-        report = simulate(config.topology, calls, config.lb_params)
-    print(console_block(report))
-    if config.format == "json":
-        params = report_params(config, report, source)
-        write_json(write, report_document(report, params, args.full))
-    else:
-        write_records_csv(write, report)
-    return EXIT_OK
+    report, source = _simulated(args, config, simulate)
+
+    def emit(write) -> None:
+        print(console_block(report))
+        if config.format == "json":
+            params = report_params(config, report, source)
+            write_json(write, report_document(report, params, args.full))
+        else:
+            write_records_csv(write, report)
+
+    return emit
 
 
-def _cmd_compare(args: argparse.Namespace, config: RunConfig, write) -> int:
-    calls, source = _load_calls(config, args.workload)
-    with _quantum_named(args.workload):
-        comparison = compare_systems(config.topology, calls, config.lb_params)
+def _cmd_compare(args: argparse.Namespace, config: RunConfig):
+    comparison, source = _simulated(args, config, compare_systems)
     ns, lb = comparison.normal, comparison.load_balanced
-    print(console_block(lb))
-    print(
-        f"normal: blocked = {ns.blocked}, total execution time = "
-        f"{ns.total_execution_time_ms:.4f} ms"
-    )
-    print(
-        f"load_balanced: blocked = {lb.blocked}, total execution time = "
-        f"{lb.total_execution_time_ms:.4f} ms"
-    )
-    print(f"blocking delta = {comparison.blocking_delta_pp:.4f} percentage points")
-    print(f"execution time delta = {comparison.execution_time_delta_ms:.4f} ms")
-    if config.format == "json":
-        params = report_params(config, lb, source)
-        write_json(write, comparison_document(comparison, params, args.full))
-    else:
-        write(comparison_csv(comparison))
-    return EXIT_OK
+
+    def emit(write) -> None:
+        print(console_block(lb))
+        for report in (ns, lb):
+            print(f"{report.system}: blocked = {report.blocked}, total execution time = "
+                  f"{report.total_execution_time_ms:.4f} ms")
+        print(f"blocking delta = {comparison.blocking_delta_pp:.4f} percentage points")
+        print(f"execution time delta = {comparison.execution_time_delta_ms:.4f} ms")
+        if config.format == "json":
+            params = report_params(config, lb, source)
+            write_json(write, comparison_document(comparison, params, args.full))
+        else:
+            write(comparison_csv(comparison))
+
+    return emit
 
 
 def parse_levels(text: str) -> list[int]:
@@ -427,14 +440,13 @@ def parse_levels(text: str) -> list[int]:
     return levels
 
 
-def _cmd_sweep(args: argparse.Namespace, config: RunConfig, write) -> int:
+def _cmd_sweep(args: argparse.Namespace, config: RunConfig):
     levels = parse_levels(args.levels)
     points = blocking_sweep(config.topology, levels, config.workload_params.seed)
-    write(format_blocking_csv(points))
-    return EXIT_OK
+    return lambda write: write(format_blocking_csv(points))
 
 
-def _cmd_erlang(args: argparse.Namespace, config: RunConfig, write) -> int:
+def _cmd_erlang(args: argparse.Namespace, config: RunConfig):
     if args.a is not None and (args.lam is not None or args.mu is not None):
         raise ValueError("give either --a or --lambda with --mu, not both")
     if args.a is not None:
@@ -443,13 +455,13 @@ def _cmd_erlang(args: argparse.Namespace, config: RunConfig, write) -> int:
         load = OfferedLoad.from_rates(args.lam, args.mu)
     else:
         raise ValueError("offered load missing: give --a or both --lambda and --mu")
-    write(f"{erlang_b(load, args.n):.6f}\n")
-    return EXIT_OK
+    blocking = erlang_b(load, args.n)
+    return lambda write: write(f"{blocking:.6f}\n")
 
 
-def _cmd_gen(args: argparse.Namespace, config: RunConfig, write) -> int:
-    format_workload(write, config.workload_params)
-    return EXIT_OK
+def _cmd_gen(args: argparse.Namespace, config: RunConfig):
+    # the work is the writing: the calls are drawn as their rows are written
+    return lambda write: format_workload(write, config.workload_params)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,31 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        workload = getattr(args, "workload", None)
-        if workload is not None:
-            keys = [key for key in WORKLOAD_KEYS if getattr(args, key) is not None]
-            if keys:
-                flags = ", ".join(CONFIG_KEYS[key][0] for key in keys)
-                raise ValueError(
-                    f"{flags}: the calls come from --workload '{workload}', "
-                    "so these flags would set nothing"
-                )
         config = resolve_config(args)
-        if getattr(args, "full", False) and config.format == "csv":
-            raise ValueError("--full adds per-call records to JSON only, and format is csv")
-        if workload and config.output and _same_file(config.output, workload):
-            raise ValueError(
-                f"--output '{config.output}' is the --workload file: "
-                "writing the report would destroy the calls it replays"
-            )
-        # opened before the work, so an unwritable path is refused first
+        emit = args.handler(args, config)
         with _output(config.output) as write:
-            code = args.handler(args, config, write)
+            emit(write)
         sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # stdout's unsent buffer goes to devnull, so the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

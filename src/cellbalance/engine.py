@@ -288,12 +288,23 @@ def _rotation_targets(capacities: tuple[int, ...], count: int) -> np.ndarray:
 
     The rotation moves one position past each pool it assigns from and
     skips exhausted ones, so it deals in rounds: one channel from every
-    pool that still has one, in list order.
+    pool that still has one, in list order. The pools taking part change
+    only at a pool's size, so the targets are filled one run of like rounds
+    at a time, then the last, partial round.
     """
-    pools = np.asarray(capacities)
-    rounds = min(int(pools.max(initial=0)), count)
-    has_channel = np.arange(rounds)[:, None] < pools  # [round, pool]
-    return np.broadcast_to(np.arange(len(pools)), has_channel.shape)[has_channel][:count]
+    pools = np.asarray(capacities, dtype=np.int64)
+    targets = np.empty(count, dtype=np.int64)
+    dealt = filled = 0  # rounds dealt, handovers assigned
+    for size in sorted(set(capacities)):
+        live = np.flatnonzero(pools >= size)  # every pool with a channel in these rounds
+        rounds = min(size - dealt, (count - filled) // len(live))
+        end = filled + rounds * len(live)
+        targets[filled:end].reshape(rounds, len(live))[:] = live
+        dealt, filled = dealt + rounds, end
+        if dealt < size:  # count runs out within this run of rounds
+            targets[filled:] = live[:count - filled]
+            break
+    return targets
 
 
 @np.errstate(over="ignore")  # the report refuses a total or quantum that overflows

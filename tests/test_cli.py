@@ -206,12 +206,53 @@ class TestRunCommand:
 @pytest.mark.parametrize("missing_dir", [True, False])
 def test_unwritable_output_exit_2(tmp_path, capsys, argv, missing_dir):
     """Used to exit 1 with `internal error: [Errno ...]`. The path is opened
-    before any work, so nothing reaches stdout."""
+    only for writing, before the console lines, so nothing reaches stdout."""
     path = tmp_path / "missing" / "out" if missing_dir else tmp_path
     assert main(argv + ["--output", str(path)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert f"cannot write output '{path}'" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["compare", "--calls", "3", "--bsc-channels", "0,40",
+          "--quantum", "1e308", "--context-switch", "1e308"], None),
+        (["run", "lb"], ["0,1.0,0.5,0.5,0.4"]),
+        (["run", "lb", "--bsc-channels", "1,1,1"],
+         [WORKLOAD_HEADER, "0,0.0,1.0,1.0,0.4", "1,0.0,1.0,1.0,0.4"]),
+        (["compare", "--bsc-channels", "1,1,1"],
+         [WORKLOAD_HEADER, "0,0.0,1.0,1.0,0.4", "1,0.0,1.0,1.0,0.4"]),
+        (["sweep", "1,,3"], None),
+    ],
+    ids=["overflow", "no-header", "zero-arrivals-run", "zero-arrivals-compare", "empty-level"],
+)
+def test_refused_command_leaves_output_as_it_was(tmp_path, capsys, argv, rows):
+    """--output was opened before the work, so each of these exit-2 refusals
+    left the file empty."""
+    out = tmp_path / "keep.json"
+    out.write_text('{"old": 1}')
+    if rows is not None:
+        workload = tmp_path / "wl.csv"
+        workload.write_text("\n".join(rows) + "\n")
+        argv = argv + ["--workload", str(workload)]
+    assert main(argv + ["--output", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert out.read_text() == '{"old": 1}'
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["gen", "--calls", "100000"], ["sweep", "0:10:5"]])
+def test_full_device_output_exit_2(capsys, argv):
+    """A write that fails, or a close that does for a small document, used
+    to exit 1 with `internal error: [Errno 28] No space left on device`."""
+    assert main(argv + ["--output", "/dev/full"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output '/dev/full': ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [["run", "lb"], ["compare"], ["sweep", "0:10:5"], ["gen"]])

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from helpers import sequential_sum, workload_of
 from oracles import slices_to_finish_loop
 
+from cellbalance import engine
 from cellbalance.engine import (
     LOAD_BALANCED,
     NO_BSC,
@@ -387,6 +388,20 @@ def test_compare_transient_memory_per_call():
     finally:
         tracemalloc.stop()
     assert peak / n <= 90, f"traced peak {peak / n:.1f} B/call"
+
+
+def test_rotation_targets_memory_is_linear_in_handovers():
+    """A rounds x pools mask, and every cell gathered from it, peaked at
+    17.2 MiB of traced allocations for 100 pools and 20000 handovers; the
+    targets themselves take 0.16 MiB."""
+    tracemalloc.start()
+    try:
+        targets = engine._rotation_targets((20000,) * 100, 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    assert targets.tolist() == list(range(100)) * 200
 
 
 class TestCompareSystems:

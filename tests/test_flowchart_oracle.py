@@ -57,12 +57,12 @@ def test_engine_matches_walker_with_computed_quantum():
 
 
 @st.composite
-def float_instances(draw):
+def float_instances(draw, bscs=(2, 4), max_calls=24):
     """Random topologies and sorted arrivals, with demands drawn from a few
     arbitrary floats and either the computed quantum or an override."""
-    n_bscs = draw(st.integers(min_value=2, max_value=4))
+    n_bscs = draw(st.integers(min_value=bscs[0], max_value=bscs[1]))
     channels = tuple(draw(st.integers(min_value=0, max_value=8)) for _ in range(n_bscs))
-    n = draw(st.integers(min_value=0, max_value=24))
+    n = draw(st.integers(min_value=0, max_value=max_calls))
     arrivals = sorted(
         draw(st.lists(st.floats(min_value=0.5, max_value=100.0), min_size=n, max_size=n))
     )
@@ -104,3 +104,21 @@ def test_engine_matches_walker_on_float_demands(instance):
     for call_id in handover_order:
         total += expected[call_id][2] * (quantum + params.context_switch_ms)
     assert report.total_execution_time_ms == total
+
+
+# six neighbors of unequal pools: the pools taking part shrink round by round
+@example(((0, 3, 0, 5, 1, 2, 4), [float(t) for t in range(1, 17)], [0.5] * 16, 0.5))
+@given(float_instances(bscs=(4, 7), max_calls=48))
+@settings(max_examples=300, deadline=None)
+def test_engine_matches_walker_past_two_neighbors(instance):
+    """The rotation over three to six neighbors: the exhaustive instances
+    stop at two and the float ones above at three."""
+    channels, arrivals, demands, override = instance
+    report = simulate_load_balanced(
+        NetworkTopology(bsc_channels=channels), workload_of(arrivals, demands),
+        LbParams(quantum_override_ms=override),
+    )
+    expected, _ = walk_flowchart(
+        channels[0], channels[1:], list(enumerate(demands)), report.quantum_ms
+    )
+    assert report_outcomes(report) == expected
