@@ -155,20 +155,18 @@ def import_workload(path: str | Path) -> tuple[Workload, str]:
     arrival order with ties in file order, and the sha256 of its bytes.
 
     Reads the file once, in blocks of whole lines just over READ_BYTES long,
-    and parses each block as it arrives, keeping no position. Rejects,
-    naming the line, a row without five fields, a field that does not
-    parse, a call id that is duplicate or outside int64, and a row whose
+    and parses each block as it arrives, keeping no position. The same pass
+    finds a refused file's fault, and the first of these wins: a decode
+    error anywhere, at its byte in the file; a missing header; the first
+    row, naming its line, that has not five fields, has a field that does
+    not parse, repeats an earlier call id, holds an id outside int64, or an
     arrival or demand Workload refuses.
     """
     digest = hashlib.sha256()
-    try:
-        with Path(path).open("rb") as fh:
-            ids, arrival_ms, demand_ms = _read_columns(fh, digest)
-        order = np.argsort(arrival_ms, kind="stable")
-        calls = Workload(ids[order], arrival_ms[order], demand_ms[order])
-    except ValueError:
-        raise _refusal(path) from None
-    return calls, digest.hexdigest()
+    with Path(path).open("rb") as fh:
+        ids, arrival_ms, demand_ms = _read_columns(fh, digest, path)
+    order = np.argsort(arrival_ms, kind="stable")
+    return Workload(ids[order], arrival_ms[order], demand_ms[order]), digest.hexdigest()
 
 
 READ_BYTES = 1 << 16  # file bytes per block, to a whole line: bounds the text and strings held
@@ -179,42 +177,66 @@ def _text_blocks(fh, digest):
     hashing its bytes as they are read. Every block but the last ends in a
     b"\\n", which no UTF-8 sequence holds and which ends every line break it
     is part of, so each block decodes and splits into lines as it would
-    within the whole text."""
+    within the whole text. A block that does not decode raises the whole
+    text's error: its object holds zeros for the blocks before, so that its
+    message names the bad byte and its position in the file."""
     while lines := fh.readlines(READ_BYTES):
         block = b"".join(lines)
         digest.update(block)
-        yield block.decode()
+        try:
+            yield block.decode()
+        except UnicodeDecodeError as exc:
+            offset = fh.tell() - len(block)
+            raise UnicodeDecodeError(
+                exc.encoding, bytes(offset) + block, offset + exc.start, offset + exc.end, exc.reason
+            ) from None
 
 
-def _read_columns(fh, digest) -> tuple[np.ndarray, ...]:
-    """The file's id, arrival and demand columns, block by block. Raises
-    ValueError, which _refusal explains, if the file does not decode, has no
-    header or a row breaks a file rule."""
+def _read_columns(fh, digest, path) -> tuple[np.ndarray, ...]:
+    """The file's id, arrival and demand columns, block by block, or
+    ValueError naming the fault import_workload names. Once a fault is
+    found, the blocks left are only decoded and hashed, so that a decode
+    error anywhere still wins."""
     id_blocks = [np.zeros(0, dtype=np.int64)]  # so that no rows concatenate to no calls
     value_blocks = [np.zeros((2, 0))]
-    header = False
+    header = None  # whether the first line that is not blank is the header, once read
+    fault = None  # (data row, rule it breaks) of the first row a block refuses
     for text in _text_blocks(fh, digest):
+        if fault or header is False:
+            continue
         rows = [line for line in text.splitlines() if line.strip()]
-        if rows and not header:
+        if rows and header is None:
             header = rows.pop(0).strip() == WORKLOAD_HEADER
-            if not header:
-                raise ValueError("no header")
-        if rows:
-            ids, values = _parse_rows(rows)
+        if rows and header:
+            try:
+                ids, values = _parse_rows(rows)
+                value_blocks.append(values)
+            except ValueError:
+                row, ids, rule = _first_fault(rows)
+                fault = sum(map(len, id_blocks)) + row, rule
+                ids = np.array(ids, dtype=np.int64)
             id_blocks.append(ids)
-            value_blocks.append(values)
+    if not header:
+        raise ValueError(f"{path}: missing workload header '{WORKLOAD_HEADER}'")
     ids = np.concatenate(id_blocks)
     ordered = np.sort(ids)
-    if not header or (ordered[1:] == ordered[:-1]).any():
-        raise ValueError("no header or a duplicate call id")
+    if (ordered[1:] == ordered[:-1]).any():
+        # a stable order puts each copy of an id after the ones before it in
+        # the file; the ids end at the refused row, so a repeat comes first
+        order = np.argsort(ids, kind="stable")
+        row = order[1:][ids[order[1:]] == ids[order[:-1]]].min()
+        fault = row, f"duplicate call id {ids[row]}"
+    if fault:
+        row, rule = fault
+        raise ValueError(f"{path}:{_line_of(path, row)}: {rule}")
     return ids, *np.concatenate(value_blocks, axis=1)
 
 
 def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Rows as their id column and their arrival and demand columns, each
     field column parsed in one pass and both positions parsed, then
-    dropped. Raises ValueError if a row has not five fields, a field does
-    not parse or an id is outside int64."""
+    dropped. Raises ValueError if a row breaks a rule _first_fault names,
+    save that ids be distinct."""
     if any(row.count(",") != 4 for row in rows):
         raise ValueError("a row without five fields")
     fields = ",".join(rows).split(",")
@@ -223,37 +245,53 @@ def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
     values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
     if not INT64.min <= min(ids) <= max(ids) <= INT64.max:
         raise ValueError("a call id outside int64")
-    return np.array(ids, dtype=np.int64), values.reshape(-1, 4).T[[0, 3]]
+    arrival_ms, demand_ms = columns = values.reshape(-1, 4).T[[0, 3]]
+    # min and max carry a NaN through, so it breaks these rules
+    if not (0 <= arrival_ms.min() and 0 < demand_ms.min() and columns.max() < math.inf):
+        raise ValueError("an arrival or demand Workload refuses")
+    return np.array(ids, dtype=np.int64), columns
 
 
-def _refusal(path: str | Path) -> Exception:
-    """The error for a refused workload file, read again in one piece: its
-    decode error, a missing header, or the first row that breaks a rule,
-    naming its line, found row by row and rule by rule."""
-    try:
-        lines = Path(path).read_bytes().decode().splitlines()
-    except UnicodeDecodeError as exc:
-        return exc
-    rows = ((n, line) for n, line in enumerate(lines, start=1) if line.strip())
-    if next(rows, (0, ""))[1].strip() != WORKLOAD_HEADER:
-        return ValueError(f"{path}: missing workload header '{WORKLOAD_HEADER}'")
-    seen = set()
-    for lineno, line in rows:
-        parts = line.split(",")
-        if len(parts) != 5:
-            return ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+def _first_fault(rows: list[str]) -> tuple[int, list[int], str]:
+    """The first of `rows` to break a file rule: its index, the ids up to
+    it that the duplicate rule checks, and the rule it breaks. A row's
+    rules apply in this order: five fields; each parses; its id repeats
+    none before it, which the caller checks across the file on these ids;
+    the id is within int64; the arrival is finite and >= 0; the demand is
+    finite and > 0."""
+    ids = []
+    for row, line in enumerate(rows):
+        fields = line.split(",")
+        if len(fields) != 5:
+            return row, ids, f"expected 5 fields, got {len(fields)}"
         try:
-            call_id = int(parts[0])
-            arrival_ms, _, _, demand_ms = (float(part) for part in parts[1:])
+            call_id = int(fields[0])
+            arrival_ms, _, _, demand_ms = map(float, fields[1:])
         except ValueError as exc:
-            return ValueError(f"{path}:{lineno}: {exc}")
-        if call_id in seen:
-            return ValueError(f"{path}:{lineno}: duplicate call id {call_id}")
+            return row, ids, str(exc)
+        # an id outside int64 repeats none before: that row would be refused first
         if not INT64.min <= call_id <= INT64.max:
-            return ValueError(f"{path}:{lineno}: call id {call_id} is outside int64")
+            return row, ids, f"call id {call_id} is outside int64"
+        ids.append(call_id)
         if not 0 <= arrival_ms < math.inf:
-            return ValueError(f"{path}:{lineno}: arrival_ms {arrival_ms}, need finite and >= 0")
-        if not math.isfinite(demand_ms) or demand_ms <= 0:
-            return ValueError(f"{path}:{lineno}: demand_ms {demand_ms}, need finite and > 0")
-        seen.add(call_id)
-    return RuntimeError(f"{path}: rejected, but no row breaks a rule")
+            return row, ids, f"arrival_ms {arrival_ms}, need finite and >= 0"
+        if not 0 < demand_ms < math.inf:
+            return row, ids, f"demand_ms {demand_ms}, need finite and > 0"
+    raise RuntimeError("a block of the workload file was refused, but no row of it breaks a rule")
+
+
+def _line_of(path: str | Path, row: int) -> int:
+    """The file line of data row `row`, 0 the one after the header, counted
+    in a second pass that only splits the file's blocks into lines, as
+    str.splitlines does, which also ends one at \\x0b, \\u2028 and the like."""
+    row += 1  # the header is the first line that is not blank
+    lineno = 0
+    with Path(path).open("rb") as fh:
+        for text in _text_blocks(fh, hashlib.sha256()):
+            lines = text.splitlines()
+            numbered = [n for n, line in enumerate(lines, lineno + 1) if line.strip()]
+            if row < len(numbered):
+                return numbered[row]
+            row -= len(numbered)
+            lineno += len(lines)
+    raise ValueError(f"{path}: the file changed while it was read")

@@ -110,21 +110,32 @@ MUTANTS = {
         "test_traffic.py::TestWorkloadFiles::test_round_trip_across_parse_blocks",
     ),
     "no duplicate-id check": (
-        swapped(traffic._read_columns, " or (ordered[1:] == ordered[:-1]).any()", ""),
+        swapped(traffic._read_columns, "if (ordered[1:] == ordered[:-1]).any():", "if False:"),
         "test_traffic.py::test_import_matches_row_by_row_reader[duplicate]",
     ),
     "header checked in every block": (
-        swapped(traffic._read_columns, "if rows and not header:", "if rows:"),
+        swapped(traffic._read_columns, "if rows and header is None:", "if rows:"),
         "test_traffic.py::TestWorkloadFiles::test_round_trip_across_parse_blocks",
     ),
     "a block's own decode error escapes": (
-        swapped(traffic.import_workload, "    except ValueError:",
-                "    except UnicodeDecodeError:\n        raise\n    except ValueError:"),
+        swapped(traffic._text_blocks, "except UnicodeDecodeError", "except ZeroDivisionError"),
         "test_traffic.py::test_undecodable_byte_past_first_block",
     ),
     "arrivals checked only for finiteness": (
-        swapped(traffic.Workload.__post_init__, "0 <= low and", "-math.inf < low and"),
+        swapped(traffic._parse_rows, "0 <= arrival_ms.min()", "-math.inf < arrival_ms.min()"),
         "test_traffic.py::test_import_matches_row_by_row_reader[negative arrival]",
+    ),
+    "line count off by one per block": (
+        swapped(traffic._line_of, "lineno += len(lines)", "lineno += len(lines) + 1"),
+        "test_traffic.py::test_import_matches_row_by_row_reader[negative arrival]",
+    ),
+    "duplicate named at its first copy": (
+        swapped(traffic._read_columns, "row = order[1:][", "row = order[:-1]["),
+        "test_traffic.py::test_import_matches_row_by_row_reader[duplicate]",
+    ),
+    "decode position relative to its block": (
+        swapped(traffic._text_blocks, "offset + exc.start, offset + exc.end", "exc.start, exc.end"),
+        "test_traffic.py::test_undecodable_byte_past_first_block",
     ),
     "blocked calls keep their slice counts": (
         swapped(engine.simulate_load_balanced, "queue_slices[order[capacity:]] = 0", "pass"),

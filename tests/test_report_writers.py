@@ -164,12 +164,24 @@ def test_full_compare_memory_stays_flat(tmp_path):
     assert peak <= 40 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
-def test_replay_memory_stays_flat(tmp_path):
+@pytest.mark.parametrize(
+    "last_row, exit_code",
+    [
+        pytest.param("", cli.EXIT_OK, id="accepted"),
+        pytest.param("50000,oops,0.5,0.5,0.4\n", cli.EXIT_USAGE, id="bad-last-row"),
+        pytest.param("0,1999.9,0.5,0.5,0.4\n", cli.EXIT_USAGE, id="duplicate-id"),
+    ],
+)
+def test_replay_memory_stays_flat(tmp_path, last_row, exit_code):
     """Holding the workload file's bytes, then its text, then one string per
     line before parsing peaked at 15.0 MiB of traced allocations on this
-    command; reading READ_BYTES at a time peaks at about 5.5 MiB."""
+    command; reading READ_BYTES at a time peaks at about 5.5 MiB. Reading a
+    refused file again whole, to name its fault, peaked at 10.9 MiB (a bad
+    last row) and 11.4 MiB (a duplicate id on the last row)."""
     workload = str(tmp_path / "calls.csv")
     assert cli.main(["gen", "--calls", "50000", "--output", workload]) == cli.EXIT_OK
+    with open(workload, "a") as fh:
+        fh.write(last_row)
     argv = ["compare", "--workload", workload, "--bsc-channels", "17400,19200,21200", "--full"]
     tracemalloc.start()
     try:
@@ -177,7 +189,7 @@ def test_replay_memory_stays_flat(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == cli.EXIT_OK
+    assert code == exit_code
     assert peak <= 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
