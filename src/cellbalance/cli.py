@@ -304,14 +304,35 @@ def console_block(report: SimulationReport) -> str:
 
 @contextmanager
 def _output(path: str | None):
-    """A write function for the document: into `path`, or onto stdout. A
-    path that cannot be opened or written, at close too, is a usage error."""
-    if path is None:
-        yield sys.stdout.write
-        return
+    """A write function for the document: into `path`, or onto stdout,
+    which takes the console lines too. A path that cannot be opened,
+    written or closed is a usage error that names it; so is a stdout that
+    cannot be written, unless its reader left (BrokenPipeError)."""
     try:
-        with open(path, "w") as fh:
-            yield fh.write
+        if path is None:
+            yield sys.stdout.write
+        else:
+            with _naming(path):
+                fh = open(path, "w")
+            try:
+                yield _naming(path)(fh.write)  # each write in the context
+            finally:
+                with _naming(path):
+                    fh.close()
+        sys.stdout.flush()  # a stdout that fails shows here, not at interpreter exit
+    except OSError as exc:
+        # stdout's unsent buffer goes to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise ValueError(f"cannot write standard output: {exc.strerror}") from exc
+
+
+@contextmanager
+def _naming(path: str):
+    """The --output file's own OSErrors as the usage error that names it."""
+    try:
+        yield
     except BrokenPipeError:
         raise
     except OSError as exc:
@@ -521,11 +542,8 @@ def main(argv: list[str] | None = None) -> int:
         emit = args.handler(args, config)
         with _output(config.output) as write:
             emit(write)
-        sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
         return EXIT_OK
     except BrokenPipeError:
-        # stdout's unsent buffer goes to devnull, so the flush at exit raises nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

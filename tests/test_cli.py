@@ -255,6 +255,30 @@ def test_full_device_output_exit_2(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["sweep", "0:10:5"], ["run", "lb", "--output", "REPORT"]])
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_full_stdout_exit_2(tmp_path, argv, unbuffered):
+    """A document that could not reach stdout exited 1 with `internal
+    error: [Errno 28] No space left on device` (120 when stdout is
+    buffered, after Python's ignored-exception trace at exit); console
+    lines that could not reach it blamed the --output file, which was
+    written."""
+    argv = [str(tmp_path / "r.json") if arg == "REPORT" else arg for arg in argv]
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(cellbalance.__file__).parents[1]),
+        "PYTHONUNBUFFERED": unbuffered,
+    }
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "cellbalance.cli", *argv],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == "error: cannot write standard output: No space left on device\n"
+
+
 @pytest.mark.parametrize("argv", [["run", "lb"], ["compare"], ["sweep", "0:10:5"], ["gen"]])
 @pytest.mark.parametrize("in_file", [False, True])
 def test_empty_output_path_exit_2(tmp_path, capsys, argv, in_file):
