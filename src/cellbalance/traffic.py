@@ -184,12 +184,13 @@ def _text_blocks(fh, digest):
         block = b"".join(lines)
         digest.update(block)
         try:
-            yield block.decode()
+            text = block.decode()
         except UnicodeDecodeError as exc:
             offset = fh.tell() - len(block)
             raise UnicodeDecodeError(
                 exc.encoding, bytes(offset) + block, offset + exc.start, offset + exc.end, exc.reason
             ) from None
+        yield text
 
 
 def _read_columns(fh, digest, path) -> tuple[np.ndarray, ...]:
@@ -210,19 +211,21 @@ def _read_columns(fh, digest, path) -> tuple[np.ndarray, ...]:
         if rows and header:
             try:
                 ids, values = _parse_rows(rows)
-                value_blocks.append(values)
             except ValueError:
                 row, ids, rule = _first_fault(rows)
                 fault = sum(map(len, id_blocks)) + row, rule
                 ids = np.array(ids, dtype=np.int64)
+            else:
+                value_blocks.append(values)
             id_blocks.append(ids)
     if not header:
         raise ValueError(f"{path}: missing workload header '{WORKLOAD_HEADER}'")
     ids = np.concatenate(id_blocks)
     ordered = np.sort(ids)
     if (ordered[1:] == ordered[:-1]).any():
-        # a stable order puts each copy of an id after the ones before it in
-        # the file; the ids end at the refused row, so a repeat comes first
+        # a stable sort keeps the copies of an id in file order, so each but
+        # the first follows an equal id; the ids stop at the refused row, so
+        # a repeat is at or before it, and wins
         order = np.argsort(ids, kind="stable")
         row = order[1:][ids[order[1:]] == ids[order[:-1]]].min()
         fault = row, f"duplicate call id {ids[row]}"

@@ -31,6 +31,10 @@ FILES = {
                   (["2", "3", "1e3", " 3 ", "1_0"], "\r\n")], True),
     # the third row repeats the first one's id
     "duplicate": ([(GOOD, "\n"), (["1", "2", "0", "0", "0.4"], "\n"), (GOOD, "\n")], False),
+    # the third row repeats the first one's id and has a negative arrival:
+    # the duplicate rule comes first
+    "duplicate, bad arrival": ([(GOOD, "\n"), (["1", "2", "0", "0", "0.4"], "\n"),
+                                (["0", "-1", "0", "0", "0.4"], "\n")], False),
     # a negative arrival on the last line of a blank-lined file
     "negative arrival": ([(GOOD, "\n"), ([], "\r\n"), (["1", "2", "0", "0", "0.4"], "\n"),
                           ([], "\n"), (["2", "-0.5", "0", "0", "0.4"], "\n")], False),
@@ -132,6 +136,10 @@ MUTANTS = {
     "duplicate named at its first copy": (
         swapped(traffic._read_columns, "row = order[1:][", "row = order[:-1]["),
         "test_traffic.py::test_import_matches_row_by_row_reader[duplicate]",
+    ),
+    "a refused row's id escapes the duplicate rule": (
+        swapped(traffic._first_fault, "        ids.append(call_id)\n", ""),
+        "test_traffic.py::test_import_matches_row_by_row_reader[duplicate, bad arrival]",
     ),
     "decode position relative to its block": (
         swapped(traffic._text_blocks, "offset + exc.start, offset + exc.end", "exc.start, exc.end"),
