@@ -307,7 +307,12 @@ def _output(path: str | None):
     """A write function for the document: into `path`, or onto stdout,
     which takes the console lines too. A path that cannot be opened,
     written or closed is a usage error that names it; so is a stdout that
-    cannot be written, unless its reader left (BrokenPipeError)."""
+    cannot be written, unless its reader left (BrokenPipeError), or that
+    was closed when the process started, which only a write refuses."""
+    if sys.stdout is None:  # fd 1 was closed at start
+        # held read-only, fd 1 goes to no file opened later, and a write to it fails (EBADF)
+        os.dup2(os.open(os.devnull, os.O_RDONLY), 1)
+        sys.stdout = open(1, "w")
     try:
         if path is None:
             yield sys.stdout.write

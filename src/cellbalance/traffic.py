@@ -154,8 +154,9 @@ def import_workload(path: str | Path) -> tuple[Workload, str]:
     """Read a workload file written by format_workload: its calls, in
     arrival order with ties in file order, and the sha256 of its bytes.
 
-    Reads the file once, in blocks of whole lines just over READ_BYTES long,
-    and parses each block as it arrives, keeping no position. The same pass
+    Reads the file once, forward, in blocks of whole lines just over
+    READ_BYTES long, and parses each block as it arrives, so a pipe such as
+    /dev/stdin reads as a file does. The same pass numbers the lines and
     finds a refused file's fault, and the first of these wins: a decode
     error anywhere, at its byte in the file; a missing header; the first
     row, naming its line, that has not five fields, has a field that does
@@ -178,18 +179,20 @@ def _text_blocks(fh, digest):
     b"\\n", which no UTF-8 sequence holds and which ends every line break it
     is part of, so each block decodes and splits into lines as it would
     within the whole text. A block that does not decode raises the whole
-    text's error: its object holds zeros for the blocks before, so that its
-    message names the bad byte and its position in the file."""
+    text's error: its object holds zeros for the bytes counted before the
+    block, so that its message names the bad byte and its position in the
+    file."""
+    offset = 0
     while lines := fh.readlines(READ_BYTES):
         block = b"".join(lines)
         digest.update(block)
         try:
             text = block.decode()
         except UnicodeDecodeError as exc:
-            offset = fh.tell() - len(block)
             raise UnicodeDecodeError(
                 exc.encoding, bytes(offset) + block, offset + exc.start, offset + exc.end, exc.reason
             ) from None
+        offset += len(block)
         yield text
 
 
@@ -200,15 +203,23 @@ def _read_columns(fh, digest, path) -> tuple[np.ndarray, ...]:
     error anywhere still wins."""
     id_blocks = [np.zeros(0, dtype=np.int64)]  # so that no rows concatenate to no calls
     value_blocks = [np.zeros((2, 0))]
+    line_blocks = []  # the file line of each data row, block by block
+    lineno = 0  # lines before the block, ended as str.splitlines ends them, at \x0b too
     header = None  # whether the first line that is not blank is the header, once read
     fault = None  # (data row, rule it breaks) of the first row a block refuses
     for text in _text_blocks(fh, digest):
         if fault or header is False:
             continue
-        rows = [line for line in text.splitlines() if line.strip()]
+        lines = text.splitlines()
+        rows = [line for line in lines if line.strip()]
+        at = (range(lineno + 1, lineno + len(lines) + 1) if len(rows) == len(lines)
+              else [n for n, line in enumerate(lines, lineno + 1) if line.strip()])
+        lineno += len(lines)
         if rows and header is None:
             header = rows.pop(0).strip() == WORKLOAD_HEADER
+            at = at[1:]
         if rows and header:
+            line_blocks.append(at)
             try:
                 ids, values = _parse_rows(rows)
             except ValueError:
@@ -231,7 +242,11 @@ def _read_columns(fh, digest, path) -> tuple[np.ndarray, ...]:
         fault = row, f"duplicate call id {ids[row]}"
     if fault:
         row, rule = fault
-        raise ValueError(f"{path}:{_line_of(path, row)}: {rule}")
+        for at in line_blocks:
+            if row < len(at):
+                break
+            row -= len(at)
+        raise ValueError(f"{path}:{at[row]}: {rule}")
     return ids, *np.concatenate(value_blocks, axis=1)
 
 
@@ -281,20 +296,3 @@ def _first_fault(rows: list[str]) -> tuple[int, list[int], str]:
         if not 0 < demand_ms < math.inf:
             return row, ids, f"demand_ms {demand_ms}, need finite and > 0"
     raise RuntimeError("a block of the workload file was refused, but no row of it breaks a rule")
-
-
-def _line_of(path: str | Path, row: int) -> int:
-    """The file line of data row `row`, 0 the one after the header, counted
-    in a second pass that only splits the file's blocks into lines, as
-    str.splitlines does, which also ends one at \\x0b, \\u2028 and the like."""
-    row += 1  # the header is the first line that is not blank
-    lineno = 0
-    with Path(path).open("rb") as fh:
-        for text in _text_blocks(fh, hashlib.sha256()):
-            lines = text.splitlines()
-            numbered = [n for n, line in enumerate(lines, lineno + 1) if line.strip()]
-            if row < len(numbered):
-                return numbered[row]
-            row -= len(numbered)
-            lineno += len(lines)
-    raise ValueError(f"{path}: the file changed while it was read")

@@ -279,6 +279,75 @@ def test_full_stdout_exit_2(tmp_path, argv, unbuffered):
     assert done.stderr == "error: cannot write standard output: No space left on device\n"
 
 
+def run_cli(argv: list[str], input: bytes | None = None, closed_stdout: bool = False):
+    """`cellbalance argv` in a fresh interpreter, fed `input` through a pipe
+    on stdin, its stdout captured, or closed before it starts."""
+    command = [sys.executable, "-m", "cellbalance.cli", *argv]
+    if closed_stdout:
+        command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+    env = {**os.environ, "PYTHONPATH": str(Path(cellbalance.__file__).parents[1])}
+    return subprocess.run(
+        command, env=env, input=input, stdout=None if closed_stdout else subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this system")
+@pytest.mark.parametrize("fault", [None, "bad last row", "duplicate last id", "undecodable byte"])
+def test_workload_through_a_pipe(tmp_path, fault):
+    """`gen ... | compare --workload /dev/stdin` reads the calls as the file
+    on disk does. A refused pipe used to read `the file changed while it was
+    read` (a second pass found the pipe empty) or `Illegal seek` (a decode
+    error placed by the file position)."""
+    path = tmp_path / "wl.csv"
+    assert main(["gen", "--calls", "3000", "--output", str(path)]) == EXIT_OK
+    data = bytearray(path.read_bytes())
+    if fault == "bad last row":
+        data += b"3000,oops,0.5,0.5,0.4\n"
+    elif fault == "duplicate last id":
+        data += b"7,1.0,0.5,0.5,0.4\n"
+    elif fault == "undecodable byte":
+        data[data.index(b"\n", 2 * traffic.READ_BYTES) + 1] = 0xFF
+    path.write_bytes(data)
+    piped = run_cli(["compare", "--workload", "/dev/stdin"], input=bytes(data))
+    on_disk = run_cli(["compare", "--workload", str(path)])
+    assert piped.returncode == on_disk.returncode == (EXIT_OK if fault is None else EXIT_USAGE)
+    assert piped.stdout == on_disk.stdout
+    assert piped.stderr == on_disk.stderr.replace(str(path).encode(), b"/dev/stdin")
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="no /bin/sh on this system")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "0:10:5"],
+        ["erlang", "--a", "1", "--n", "1"],
+        ["gen", "--calls", "3"],
+        ["run", "lb", "--output", "OUT"],  # the console lines go to stdout
+        ["compare", "--format", "csv", "--output", "OUT"],
+        ["gen", "--calls", "3", "--output", "OUT"],  # nothing goes to stdout
+        ["sweep", "0:10:5", "--output", "OUT"],
+    ],
+    ids=" ".join,
+)
+def test_closed_stdout(tmp_path, argv):
+    """Started with stdout closed, where sys.stdout is None, every command
+    exited 1 with `internal error: 'NoneType' object has no attribute
+    'write'` ('flush' with --output), reporting a fault outside the program
+    as its own. A command that writes to stdout now exits 2; one that
+    writes nothing there writes its file and exits 0."""
+    out = tmp_path / "out"
+    done = run_cli([str(out) if arg == "OUT" else arg for arg in argv], closed_stdout=True)
+    if argv[0] in ("gen", "sweep") and "--output" in argv:
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        expected = tmp_path / "expected"
+        assert main([str(expected) if arg == "OUT" else arg for arg in argv]) == EXIT_OK
+        assert out.read_bytes() == expected.read_bytes()
+    else:
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == b"error: cannot write standard output: Bad file descriptor\n"
+
+
 @pytest.mark.parametrize("argv", [["run", "lb"], ["compare"], ["sweep", "0:10:5"], ["gen"]])
 @pytest.mark.parametrize("in_file", [False, True])
 def test_empty_output_path_exit_2(tmp_path, capsys, argv, in_file):

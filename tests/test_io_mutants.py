@@ -64,6 +64,14 @@ TESTS = {
         lambda factory: traffic_tests.TestWorkloadFiles().test_round_trip_across_parse_blocks(
             factory.mktemp("wl")
         ),
+    "test_traffic.py::TestWorkloadFiles::test_field_count_error_names_line":
+        lambda factory: traffic_tests.TestWorkloadFiles().test_field_count_error_names_line(
+            factory.mktemp("wl")
+        ),
+    "test_traffic.py::TestWorkloadFiles::test_error_counts_blank_lines":
+        lambda factory: traffic_tests.TestWorkloadFiles().test_error_counts_blank_lines(
+            factory.mktemp("wl")
+        ),
     "test_traffic.py::test_undecodable_byte_past_first_block":
         lambda factory: traffic_tests.test_undecodable_byte_past_first_block(
             factory.mktemp("wl"), bad_row=False
@@ -130,8 +138,16 @@ MUTANTS = {
         "test_traffic.py::test_import_matches_row_by_row_reader[negative arrival]",
     ),
     "line count off by one per block": (
-        swapped(traffic._line_of, "lineno += len(lines)", "lineno += len(lines) + 1"),
+        swapped(traffic._read_columns, "lineno += len(lines)", "lineno += len(lines) + 1"),
         "test_traffic.py::test_import_matches_row_by_row_reader[negative arrival]",
+    ),
+    "the header's line kept in the first block's numbering": (
+        swapped(traffic._read_columns, "            at = at[1:]\n", ""),
+        "test_traffic.py::TestWorkloadFiles::test_field_count_error_names_line",
+    ),
+    "a block with a blank line numbered as a range": (
+        swapped(traffic._read_columns, "if len(rows) == len(lines)", "if True"),
+        "test_traffic.py::TestWorkloadFiles::test_error_counts_blank_lines",
     ),
     "duplicate named at its first copy": (
         swapped(traffic._read_columns, "row = order[1:][", "row = order[:-1]["),
@@ -143,6 +159,10 @@ MUTANTS = {
     ),
     "decode position relative to its block": (
         swapped(traffic._text_blocks, "offset + exc.start, offset + exc.end", "exc.start, exc.end"),
+        "test_traffic.py::test_undecodable_byte_past_first_block",
+    ),
+    "the byte offset never advanced": (
+        swapped(traffic._text_blocks, "        offset += len(block)\n", ""),
         "test_traffic.py::test_undecodable_byte_past_first_block",
     ),
     "blocked calls keep their slice counts": (
