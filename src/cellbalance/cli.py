@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -302,28 +301,30 @@ def console_block(report: SimulationReport) -> str:
     return "\n".join(lines)
 
 
-@contextmanager
-def _output(path: str | None):
-    """A write function for the document: into `path`, or onto stdout,
-    which takes the console lines too. A path that cannot be opened,
-    written or closed is a usage error that names it; so is a stdout that
-    cannot be written, unless its reader left (BrokenPipeError), or that
-    was closed when the process started, which only a write refuses."""
-    if sys.stdout is None:  # fd 1 was closed at start
-        # held read-only, fd 1 goes to no file opened later, and a write to it fails (EBADF)
-        os.dup2(os.open(os.devnull, os.O_RDONLY), 1)
-        sys.stdout = open(1, "w")
+def _write(path: str | None, console: str, document) -> None:
+    """Write the document into `path`, then the console text to stdout,
+    and the document there too when there is no path. A path that cannot
+    be opened, written or closed is a usage error that names it; so is a
+    stdout that cannot be written, unless its reader left
+    (BrokenPipeError), or that was closed when the process started, which
+    is refused before `path` is touched."""
+    to_stdout = bool(console) or path is None
+    if to_stdout and sys.stdout is None:  # fd 1 was closed at start
+        raise ValueError("cannot write standard output: Bad file descriptor")
+    if path is not None:
+        try:
+            with open(path, "w") as fh:
+                document(fh.write)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            raise ValueError(f"cannot write output '{path}': {exc.strerror}") from exc
+    if not to_stdout:
+        return
     try:
+        sys.stdout.write(console)
         if path is None:
-            yield sys.stdout.write
-        else:
-            with _naming(path):
-                fh = open(path, "w")
-            try:
-                yield _naming(path)(fh.write)  # each write in the context
-            finally:
-                with _naming(path):
-                    fh.close()
+            document(sys.stdout.write)
         sys.stdout.flush()  # a stdout that fails shows here, not at interpreter exit
     except OSError as exc:
         # stdout's unsent buffer goes to devnull, so the flush at exit raises nothing
@@ -331,17 +332,6 @@ def _output(path: str | None):
         if isinstance(exc, BrokenPipeError):
             raise
         raise ValueError(f"cannot write standard output: {exc.strerror}") from exc
-
-
-@contextmanager
-def _naming(path: str):
-    """The --output file's own OSErrors as the usage error that names it."""
-    try:
-        yield
-    except BrokenPipeError:
-        raise
-    except OSError as exc:
-        raise ValueError(f"cannot write output '{path}': {exc.strerror}") from exc
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -354,8 +344,9 @@ def _same_file(a: str, b: str) -> bool:
 
 # --- subcommands ------------------------------------------------------------
 # handler(args, config) does the work and every refusal, then returns
-# emit(write), which prints the console lines and writes the document: main
-# opens --output for emit alone, so a refused command leaves the file as it was.
+# (console, document): the console lines as one string ("" for none) and
+# document(write), which writes the document. main hands both to _write, which
+# opens --output only then, so a refused command leaves the file as it was.
 
 
 def _simulated(args: argparse.Namespace, config: RunConfig, simulate):
@@ -409,35 +400,34 @@ def _cmd_run(args: argparse.Namespace, config: RunConfig):
     simulate = simulate_normal if args.system == "normal" else simulate_load_balanced
     report, source = _simulated(args, config, simulate)
 
-    def emit(write) -> None:
-        print(console_block(report))
+    def document(write) -> None:
         if config.format == "json":
             params = report_params(config, report, source)
             write_json(write, report_document(report, params, args.full))
         else:
             write_records_csv(write, report)
 
-    return emit
+    return console_block(report) + "\n", document
 
 
 def _cmd_compare(args: argparse.Namespace, config: RunConfig):
     comparison, source = _simulated(args, config, compare_systems)
     ns, lb = comparison.normal, comparison.load_balanced
+    lines = [console_block(lb)]
+    for report in (ns, lb):
+        lines.append(f"{report.system}: blocked = {report.blocked}, total execution time = "
+                     f"{report.total_execution_time_ms:.4f} ms")
+    lines.append(f"blocking delta = {comparison.blocking_delta_pp:.4f} percentage points")
+    lines.append(f"execution time delta = {comparison.execution_time_delta_ms:.4f} ms")
 
-    def emit(write) -> None:
-        print(console_block(lb))
-        for report in (ns, lb):
-            print(f"{report.system}: blocked = {report.blocked}, total execution time = "
-                  f"{report.total_execution_time_ms:.4f} ms")
-        print(f"blocking delta = {comparison.blocking_delta_pp:.4f} percentage points")
-        print(f"execution time delta = {comparison.execution_time_delta_ms:.4f} ms")
+    def document(write) -> None:
         if config.format == "json":
             params = report_params(config, lb, source)
             write_json(write, comparison_document(comparison, params, args.full))
         else:
             write(comparison_csv(comparison))
 
-    return emit
+    return "\n".join(lines) + "\n", document
 
 
 def parse_levels(text: str) -> list[int]:
@@ -469,7 +459,7 @@ def parse_levels(text: str) -> list[int]:
 def _cmd_sweep(args: argparse.Namespace, config: RunConfig):
     levels = parse_levels(args.levels)
     points = blocking_sweep(config.topology, levels, config.workload_params.seed)
-    return lambda write: write(format_blocking_csv(points))
+    return "", lambda write: write(format_blocking_csv(points))
 
 
 def _cmd_erlang(args: argparse.Namespace, config: RunConfig):
@@ -482,12 +472,12 @@ def _cmd_erlang(args: argparse.Namespace, config: RunConfig):
     else:
         raise ValueError("offered load missing: give --a or both --lambda and --mu")
     blocking = erlang_b(load, args.n)
-    return lambda write: write(f"{blocking:.6f}\n")
+    return "", lambda write: write(f"{blocking:.6f}\n")
 
 
 def _cmd_gen(args: argparse.Namespace, config: RunConfig):
     # the work is the writing: the calls are drawn as their rows are written
-    return lambda write: format_workload(write, config.workload_params)
+    return "", lambda write: format_workload(write, config.workload_params)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,9 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        emit = args.handler(args, config)
-        with _output(config.output) as write:
-            emit(write)
+        _write(config.output, *args.handler(args, config))
         return EXIT_OK
     except BrokenPipeError:
         return EXIT_BROKEN_PIPE

@@ -178,10 +178,9 @@ def _text_blocks(fh, digest):
     hashing its bytes as they are read. Every block but the last ends in a
     b"\\n", which no UTF-8 sequence holds and which ends every line break it
     is part of, so each block decodes and splits into lines as it would
-    within the whole text. A block that does not decode raises the whole
-    text's error: its object holds zeros for the bytes counted before the
-    block, so that its message names the bad byte and its position in the
-    file."""
+    within the whole text. A block that does not decode raises its error
+    with the message the whole text's error has, naming the bad byte and
+    its position in the file."""
     offset = 0
     while lines := fh.readlines(READ_BYTES):
         block = b"".join(lines)
@@ -189,11 +188,27 @@ def _text_blocks(fh, digest):
         try:
             text = block.decode()
         except UnicodeDecodeError as exc:
-            raise UnicodeDecodeError(
-                exc.encoding, bytes(offset) + block, offset + exc.start, offset + exc.end, exc.reason
-            ) from None
+            raise _FileDecodeError(offset, *exc.args) from None
         offset += len(block)
         yield text
+
+
+class _FileDecodeError(UnicodeDecodeError):
+    """A block's decode error, `offset` bytes into the file, whose message
+    is the one CPython gives the whole file's error: its object is the
+    block, not the bytes before it too."""
+
+    def __init__(self, offset: int, *args) -> None:
+        super().__init__(*args)
+        self.offset = offset
+
+    def __str__(self) -> str:
+        start, end = self.offset + self.start, self.offset + self.end
+        if self.end == self.start + 1:
+            bad = f"byte 0x{self.object[self.start]:02x} in position {start}"
+        else:
+            bad = f"bytes in position {start}-{end - 1}"
+        return f"'{self.encoding}' codec can't decode {bad}: {self.reason}"
 
 
 def _read_columns(fh, digest, path) -> tuple[np.ndarray, ...]:

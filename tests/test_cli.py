@@ -263,8 +263,9 @@ def test_full_stdout_exit_2(tmp_path, argv, unbuffered):
     error: [Errno 28] No space left on device` (120 when stdout is
     buffered, after Python's ignored-exception trace at exit); console
     lines that could not reach it blamed the --output file, which was
-    written."""
-    argv = [str(tmp_path / "r.json") if arg == "REPORT" else arg for arg in argv]
+    written, but left empty when stdout was unbuffered."""
+    report, expected = tmp_path / "r.json", tmp_path / "expected.json"
+    argv = [str(report) if arg == "REPORT" else arg for arg in argv]
     env = {
         **os.environ,
         "PYTHONPATH": str(Path(cellbalance.__file__).parents[1]),
@@ -277,6 +278,9 @@ def test_full_stdout_exit_2(tmp_path, argv, unbuffered):
         )
     assert done.returncode == EXIT_USAGE
     assert done.stderr == "error: cannot write standard output: No space left on device\n"
+    if "--output" in argv:  # the document is written before the console lines
+        assert main([str(expected) if arg == str(report) else arg for arg in argv]) == EXIT_OK
+        assert report.read_bytes() == expected.read_bytes()
 
 
 def run_cli(argv: list[str], input: bytes | None = None, closed_stdout: bool = False):
@@ -334,9 +338,11 @@ def test_closed_stdout(tmp_path, argv):
     """Started with stdout closed, where sys.stdout is None, every command
     exited 1 with `internal error: 'NoneType' object has no attribute
     'write'` ('flush' with --output), reporting a fault outside the program
-    as its own. A command that writes to stdout now exits 2; one that
-    writes nothing there writes its file and exits 0."""
+    as its own. A command that writes to stdout now exits 2 before it
+    opens --output, which it used to overwrite first; one that writes
+    nothing there writes its file and exits 0."""
     out = tmp_path / "out"
+    out.write_text('{"old": 1}')
     done = run_cli([str(out) if arg == "OUT" else arg for arg in argv], closed_stdout=True)
     if argv[0] in ("gen", "sweep") and "--output" in argv:
         assert (done.returncode, done.stderr) == (EXIT_OK, b"")
@@ -346,6 +352,7 @@ def test_closed_stdout(tmp_path, argv):
     else:
         assert done.returncode == EXIT_USAGE
         assert done.stderr == b"error: cannot write standard output: Bad file descriptor\n"
+        assert out.read_text() == '{"old": 1}'  # refused before --output is opened
 
 
 @pytest.mark.parametrize("argv", [["run", "lb"], ["compare"], ["sweep", "0:10:5"], ["gen"]])

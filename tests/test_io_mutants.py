@@ -5,7 +5,9 @@ names the test that must fail under it. The test runs on fixed, seed-free
 instances: a hypothesis test on explicit arguments, a plain one as it is.
 Most mutants swap one piece of a function's source for another, in the
 function itself, so that every caller, however it imported the function,
-runs the mistake.
+runs the mistake. A named test that runs the command in a child
+interpreter finds the package through `cellbalance.__file__`, so its mutant
+makes the same swap in a copy of the package and points that name there.
 
 The unmutated code passes every named test, so a test that fails under a
 mutant failed because of it.
@@ -13,13 +15,17 @@ mutant failed because of it.
 
 import codecs
 import inspect
+import shutil
 import textwrap
+from pathlib import Path
 
 import pytest
+import test_cli as cli_tests
 import test_engine as engine_tests
 import test_report_writers as writer_tests
 import test_traffic as traffic_tests
 
+import cellbalance
 from cellbalance import cli, engine, traffic
 
 # files for test_import_matches_row_by_row_reader, each cut into blocks of
@@ -88,6 +94,14 @@ TESTS = {
         lambda factory: streamed_bytes_equal_oracle(
             ["run", "lb", "--calls", "40", "--bsc-channels", "10,5,5", "--format", "csv"]
         ),
+    "test_cli.py::test_closed_stdout[run lb --output OUT]":
+        lambda factory: cli_tests.test_closed_stdout(
+            factory.mktemp("out"), ["run", "lb", "--output", "OUT"]
+        ),
+    "test_cli.py::test_full_stdout_exit_2[1-argv1]":
+        lambda factory: cli_tests.test_full_stdout_exit_2(
+            factory.mktemp("out"), ["run", "lb", "--output", "REPORT"], "1"
+        ),
 }
 
 
@@ -100,7 +114,34 @@ def swapped(function, old: str, new: str):
     defined = {}
     exec(compile(source.replace(old, new), "<mutant>", "exec"), function.__globals__, defined)
     code = inspect.unwrap(defined[function.__name__]).__code__
-    return lambda mp: mp.setattr(function, "__code__", code)
+    return lambda mp, factory: mp.setattr(function, "__code__", code)
+
+
+def swapped_in_children(function, old: str, new: str):
+    """swapped(function, old, new), and the same swap in a copy of the
+    package, which the child interpreters of the named test import."""
+    patch, name = swapped(function, old, new), Path(inspect.getfile(function)).name
+
+    def apply(mp, factory):
+        patch(mp, factory)
+        copy = factory.mktemp("mutant") / "cellbalance"
+        shutil.copytree(Path(cellbalance.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        module = copy / name
+        source = module.read_text()
+        assert source.count(old) == 1, f"{old!r} is not in {module.name} once"
+        module.write_text(source.replace(old, new))
+        mp.setattr(cellbalance, "__file__", str(copy / "__init__.py"))
+
+    return apply
+
+
+def moved(function, piece: str, before: str) -> tuple[str, str]:
+    """The (old, new) of a swap that moves `piece` of `function`'s source to
+    just before `before`, which follows it."""
+    source = inspect.getsource(function)
+    between = source[source.index(piece) + len(piece):source.index(before)]
+    return piece + between, between + piece
 
 
 def blocks_cut_anywhere(fh, digest):
@@ -111,10 +152,10 @@ def blocks_cut_anywhere(fh, digest):
         yield decoder.decode(block)
 
 
-# name: (patch applied with monkeypatch, the test that must catch it)
+# name: (patch applied with monkeypatch and tmp_path_factory, the test that must catch it)
 MUTANTS = {
     "block cut anywhere, not after a newline": (
-        lambda mp: mp.setattr(traffic, "_text_blocks", blocks_cut_anywhere),
+        lambda mp, factory: mp.setattr(traffic, "_text_blocks", blocks_cut_anywhere),
         "test_traffic.py::test_import_matches_row_by_row_reader[accepted]",
     ),
     "plain READ_BYTES blocks, the line not completed": (
@@ -158,7 +199,8 @@ MUTANTS = {
         "test_traffic.py::test_import_matches_row_by_row_reader[duplicate, bad arrival]",
     ),
     "decode position relative to its block": (
-        swapped(traffic._text_blocks, "offset + exc.start, offset + exc.end", "exc.start, exc.end"),
+        swapped(traffic._FileDecodeError.__str__,
+                "self.offset + self.start, self.offset + self.end", "self.start, self.end"),
         "test_traffic.py::test_undecodable_byte_past_first_block",
     ),
     "the byte offset never advanced": (
@@ -182,6 +224,20 @@ MUTANTS = {
         swapped(cli._record_chunks, "None if bsc == NO_BSC else bsc", "bsc"),
         "test_report_writers.py::test_streamed_bytes_equal_oracle[csv]",
     ),
+    "closed stdout refused after the file is written": (
+        swapped_in_children(cli._write, *moved(
+            cli._write,
+            "    if to_stdout and sys.stdout is None:  # fd 1 was closed at start\n"
+            '        raise ValueError("cannot write standard output: Bad file descriptor")\n',
+            "    if not to_stdout:\n",
+        )),
+        "test_cli.py::test_closed_stdout[run lb --output OUT]",
+    ),
+    "stdout failure blamed on the --output file": (
+        swapped_in_children(cli._write, "cannot write standard output: {exc.strerror}",
+                            "cannot write output '{path}': {exc.strerror}"),
+        "test_cli.py::test_full_stdout_exit_2[1-argv1]",
+    ),
 }
 
 
@@ -201,5 +257,5 @@ def test_unmutated_code_passes(tmp_path_factory, test):
 @pytest.mark.parametrize("name", MUTANTS)
 def test_named_test_catches_mutant(monkeypatch, tmp_path_factory, name):
     patch, test = MUTANTS[name]
-    patch(monkeypatch)
+    patch(monkeypatch, tmp_path_factory)
     assert fails(test, tmp_path_factory)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,3 +344,23 @@ def test_undecodable_byte_past_first_block(tmp_path, bad_row):
         bytes(data).decode()
     assert str(raised.value) == str(whole.value)
     assert f"position {at}:" in str(raised.value)
+
+
+def test_decode_error_memory_stays_flat(tmp_path):
+    """A block's decode error, rebuilt with zeros for every byte before the
+    block so that its message named the file position, held the file's size
+    once more: 7.85 MiB of traced allocations for a 0xff byte 30 bytes
+    before the end of this 3.2 MiB file, which accepted peaks at 2.87 MiB."""
+    path = tmp_path / "calls.csv"
+    export(WorkloadParams(n_calls=50000), path)
+    data = bytearray(path.read_bytes())
+    data[-30] = 0xFF
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnicodeDecodeError):
+            import_workload(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
