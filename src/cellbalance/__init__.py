@@ -28,7 +28,6 @@ from .topology import BscId, NetworkTopology
 from .traffic import (
     Workload,
     WorkloadParams,
-    average_arrival_range,
     generate_workload,
     import_workload,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "SimulationReport",
     "Workload",
     "WorkloadParams",
-    "average_arrival_range",
     "blocking_sweep",
     "compare_systems",
     "compute_quantum",

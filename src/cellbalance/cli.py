@@ -100,7 +100,7 @@ def load_config_file(path: str) -> dict:
     """Parse a flat key = value file into typed config entries."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config '{path}': {exc}") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -458,7 +458,7 @@ def parse_levels(text: str) -> list[int]:
 
 def _cmd_sweep(args: argparse.Namespace, config: RunConfig):
     levels = parse_levels(args.levels)
-    points = blocking_sweep(config.topology, levels, config.workload_params.seed)
+    points = blocking_sweep(config.topology, levels)
     return "", lambda write: write(format_blocking_csv(points))
 
 
@@ -509,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="blocking curve over load levels")
     p_sweep.add_argument("levels", help="start:stop:step (stop inclusive) or n1,n2,...")
-    # the CSV depends only on the levels and the pools; perfbench still passes
-    # --seed (ROADMAP item 5)
+    # the CSV depends only on the levels and the pools: nothing reads --seed,
+    # which stays accepted because perfbench passes it (ROADMAP item 3)
     add_keys(p_sweep, ["bsc_channels", "seed", "output"])
     p_sweep.set_defaults(handler=_cmd_sweep)
 

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .topology import HOME_BSC, BscId, NetworkTopology
-from .traffic import Workload, average_arrival_range, running_sum
+from .traffic import Workload, running_sum
 
 DEFAULT_CONTEXT_SWITCH_MS = 0.1
 DEFAULT_WAITING_MS = 3.0
@@ -292,11 +292,11 @@ def _rotation_targets(capacities: tuple[int, ...], count: int) -> np.ndarray:
     only at a pool's size, so the targets are filled one run of like rounds
     at a time, then the last, partial round.
     """
-    pools = np.asarray(capacities, dtype=np.int64)
     targets = np.empty(count, dtype=np.int64)
     dealt = filled = 0  # rounds dealt, handovers assigned
     for size in sorted(set(capacities)):
-        live = np.flatnonzero(pools >= size)  # every pool with a channel in these rounds
+        # every pool with a channel in these rounds; pools stay Python ints, of any size
+        live = np.flatnonzero([pool >= size for pool in capacities])
         rounds = min(size - dealt, (count - filled) // len(live))
         end = filled + rounds * len(live)
         targets[filled:end].reshape(rounds, len(live))[:] = live
@@ -335,7 +335,7 @@ def simulate_load_balanced(
         if params.quantum_override_ms is not None:
             quantum = params.quantum_override_ms
         else:
-            quantum = compute_quantum(average_arrival_range(calls.arrival_ms[home:]), float(n - home))
+            quantum = compute_quantum(running_sum(calls.arrival_ms[home:]) / (n - home), float(n - home))
         queued = calls.demand_ms[home:]
         # with counts np.unique sorts; without, it hashes, which imports numpy.ma
         demands = np.unique(queued, return_counts=True)[0]

@@ -58,13 +58,10 @@ def erlang_b(a: OfferedLoad, n_channels: int) -> float:
     return prob
 
 
-def blocking_sweep(
-    topology: NetworkTopology, load_levels: list[int], seed: int
-) -> list[BlockingCurvePoint]:
-    """Run both systems at each load level, every one drawn from `seed` as
-    given with the default window, demand and load-balancing params, and
-    record empirical blocking. Admission never reads arrivals, so blocking
-    depends only on the level and the pools."""
+def blocking_sweep(topology: NetworkTopology, load_levels: list[int]) -> list[BlockingCurvePoint]:
+    """Run both systems at each load level on a workload of the default
+    params, and record empirical blocking. Admission never reads arrivals,
+    so blocking depends only on the level and the pools: no seed is taken."""
     previous = None
     for n in load_levels:
         if n < 0:
@@ -75,7 +72,7 @@ def blocking_sweep(
 
     points = []
     for n in load_levels:
-        calls = generate_workload(WorkloadParams(n_calls=n, seed=seed))
+        calls = generate_workload(WorkloadParams(n_calls=n))
         ns = simulate_normal(topology, calls)
         lb = simulate_load_balanced(topology, calls)
         points.append(

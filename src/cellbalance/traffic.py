@@ -112,16 +112,6 @@ def running_sum(values, start: float = 0.0) -> float:
     return total
 
 
-def average_arrival_range(arrival_ms: np.ndarray) -> float:
-    """Arithmetic mean of the arrival timestamps, in ms.
-
-    This is the numerator of the quantum-time formula.
-    """
-    if not len(arrival_ms):
-        raise ValueError("average arrival range undefined on empty workload")
-    return running_sum(arrival_ms) / len(arrival_ms)
-
-
 EXPORT_ROWS = 8192  # rows formatted per write: bounds the text held at once
 
 

@@ -83,7 +83,7 @@ def test_criterion_4_execution_time_ordering_100_seeds():
 
 
 def test_criterion_5_blocking_dominance_sweep():
-    points = blocking_sweep(DEFAULT_TOPO, list(range(0, 1300, 100)), seed=42)
+    points = blocking_sweep(DEFAULT_TOPO, list(range(0, 1300, 100)))
     dominated = all(p.lb_blocking <= p.ns_blocking for p in points)
     ns_monotone = all(
         a.ns_blocking <= b.ns_blocking for a, b in zip(points, points[1:])

@@ -443,6 +443,13 @@ class TestCompareCommand:
         assert doc["deltas"]["blocking_delta_pp"] == 0.0
         assert doc["load_balanced"]["counts"]["handed_over"] == 0
 
+    def test_pool_above_int64(self, tmp_path):
+        doc = run_json(tmp_path, ["compare", "--calls", "5", "--bsc-channels",
+                                  "1,99999999999999999999,2"])
+        lb = doc["load_balanced"]
+        assert lb["counts"] == {"accepted_home": 1, "handed_over": 4, "blocked": 0}
+        assert lb["per_bsc_handled"] == {"0": 1, "1": 2, "2": 2}
+
     def test_csv_two_rows(self, tmp_path):
         out = tmp_path / "cmp.csv"
         code = main(["compare", "--calls", "50", "--format", "csv", "--output", str(out)])
@@ -531,6 +538,13 @@ class TestSweepCommand:
     def test_negative_level_exit_2(self, capsys):
         assert main(["sweep", "--", "-1:5:1"]) == EXIT_USAGE
         assert "negative" in capsys.readouterr().err
+
+    def test_seed_changes_no_byte(self, tmp_path):
+        """sweep accepts --seed, and nothing reads it."""
+        plain, seeded = tmp_path / "plain.csv", tmp_path / "seeded.csv"
+        assert main(["sweep", "0:3000:10", "--output", str(plain)]) == EXIT_OK
+        assert main(["sweep", "0:3000:10", "--seed", "7", "--output", str(seeded)]) == EXIT_OK
+        assert seeded.read_bytes() == plain.read_bytes()
 
 
 class TestParseLevels:
@@ -947,6 +961,13 @@ class TestConfigFile:
     def test_missing_file_exit_2(self, capsys):
         assert main(["run", "lb", "--config", "/nonexistent/sim.cfg"]) == EXIT_USAGE
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_undecodable_file_names_it_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xffn_calls = 6\n")
+        assert main(["run", "lb", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config '{cfg}': 'utf-8' codec can't decode")
 
     def test_bad_format_value(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -404,6 +404,12 @@ def test_rotation_targets_memory_is_linear_in_handovers():
     assert targets.tolist() == list(range(100)) * 200
 
 
+def test_rotation_targets_pools_above_int64():
+    """The pools are compared as the topology holds them: an int64 copy of
+    them overflowed."""
+    assert engine._rotation_targets((2**70, 1), 3).tolist() == [0, 1, 0]
+
+
 class TestCompareSystems:
     def test_default_scenario_ordering(self):
         comparison = compare_systems(DEFAULT_TOPO, default_workload())

@@ -18,7 +18,6 @@ from cellbalance.traffic import (
     WORKLOAD_HEADER,
     Workload,
     WorkloadParams,
-    average_arrival_range,
     format_workload,
     generate_workload,
     import_workload,
@@ -120,23 +119,18 @@ class TestGenerateWorkload:
 
 
 class TestAverageArrivalRange:
-    def test_exact_small_example(self):
-        assert average_arrival_range(np.array([1.0, 2.0, 3.0, 4.0])) == 2.5
+    """The quantum's numerator, the queued calls' mean arrival: the engine
+    takes it as running_sum over their count."""
 
     def test_matches_fsum_mean(self):
         calls = generate_workload(WorkloadParams(n_calls=900))
         oracle = math.fsum(calls.arrival_ms) / len(calls)
-        assert average_arrival_range(calls.arrival_ms) == pytest.approx(oracle, rel=1e-12)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="empty workload"):
-            average_arrival_range(np.array([]))
+        assert running_sum(calls.arrival_ms) / len(calls) == pytest.approx(oracle, rel=1e-12)
 
     def test_adds_left_to_right(self):
         """Pairwise or compensated summation (np.sum; sum() on Python 3.12+)
         gives 1.0 here, so the quantum would depend on the Python version."""
         assert running_sum([1e16, 1.0, -1e16]) == 0.0
-        assert average_arrival_range([1e16, 1.0, -1e16]) == 0.0
 
 
 @given(
