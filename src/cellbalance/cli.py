@@ -251,7 +251,8 @@ def _write_json_records(write, report: SimulationReport, pad: str) -> None:
     )
     opening = "["
     for chunk in _record_chunks(report, outcome):
-        write(opening + ",".join(map(record.__mod__, zip(*chunk))))
+        write(opening)  # on its own: prepended, it would copy the chunk's text
+        write(",".join(map(record.__mod__, zip(*chunk))))
         opening = ","
     write("[]" if opening == "[" else pad + "]")
 

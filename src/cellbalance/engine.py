@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .topology import HOME_BSC, BscId, NetworkTopology
-from .traffic import Workload, running_sum
+from .traffic import SUM_CHUNK, Workload, running_sum
 
 DEFAULT_CONTEXT_SWITCH_MS = 0.1
 DEFAULT_WAITING_MS = 3.0
@@ -329,7 +329,7 @@ def simulate_load_balanced(
     home = min(n, pools[HOME_BSC])
     serving, times = _home_admitted(calls, home, params.waiting_ms)
     slices = np.zeros(n, dtype=np.int64)
-    served = np.zeros(0, dtype=np.int64)  # handed-over calls, in the order they finish
+    total = running_sum(times[:home])  # the system clock: home calls in arrival order
     quantum = None
     if home < n:
         if params.quantum_override_ms is not None:
@@ -347,16 +347,21 @@ def simulate_load_balanced(
         order = np.argsort(queue_slices, kind="stable")
         capacity = sum(capacities)
         queue_slices[order[capacity:]] = 0
-        served = order[:capacity].copy()  # so that the full order is freed
-        del order
-        served += home
+        served = order[:capacity]  # queue positions of the handed-over calls, as they finish
         targets = _rotation_targets(capacities, len(served))
         targets += HOME_BSC + 1
-        serving[served] = targets
-        times[served] = slices[served] * slice_execution_time(quantum, params.context_switch_ms)
+        serving[home:][served] = targets
+        del targets  # before the mask below is built
+        # only handed-over calls: a blocked one keeps +0.0 even if a slice costs inf
+        queue_times = times[home:]
+        slice_time = slice_execution_time(quantum, params.context_switch_ms)
+        np.multiply(queue_slices, slice_time, out=queue_times, where=queue_slices > 0)
+        # then the handovers as they finish, gathered a chunk at a time: the
+        # sum runs left to right, so chunking it changes no bit
+        for begin in range(0, len(served), SUM_CHUNK):
+            total = running_sum(queue_times[served[begin:begin + SUM_CHUNK]], start=total)
+        del order, served  # freed before the report's own check allocates
 
-    # the system clock: home calls in arrival order, then handovers as they finish
-    total = running_sum(times[served], start=running_sum(times[:home]))
     return SimulationReport(LOAD_BALANCED, pools, total, quantum, calls.ids, serving, times, slices)
 
 

@@ -66,6 +66,8 @@ class WorkloadParams:
     def __post_init__(self) -> None:
         if self.n_calls < 0:
             raise ValueError(f"n_calls = {self.n_calls}, need >= 0")
+        if self.n_calls > INT64.max:  # numpy indexes no more
+            raise ValueError(f"n_calls = {self.n_calls}, need <= {INT64.max}")
         if not 0 < self.arrival_window_ms < math.inf:
             raise ValueError(
                 f"arrival_window_ms = {self.arrival_window_ms}, need finite and > 0"

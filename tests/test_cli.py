@@ -419,6 +419,27 @@ def test_flag_the_subcommand_ignores_exit_2(capsys, command, flags):
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
+HUGE = "99999999999999999999"  # above int64, so above any size numpy indexes
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(["run", "lb", "--calls", HUGE], f"n_calls = {HUGE}, need <= {2**63 - 1}",
+                     id="run"),
+        pytest.param(["gen", "--calls", HUGE], f"n_calls = {HUGE}, need <= {2**63 - 1}", id="gen"),
+        pytest.param(["sweep", HUGE], f"load level {HUGE}", id="sweep"),
+    ],
+)
+def test_size_numpy_cannot_index_exit_2(capsys, argv, named):
+    """These exited 2 with numpy's `Maximum allowed dimension exceeded`,
+    which names neither the flag nor the level."""
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert captured.out == ""
+
+
 class TestCompareCommand:
     def test_default_scenario_deltas(self, tmp_path, capsys):
         doc = run_json(tmp_path, ["compare"])

@@ -390,6 +390,32 @@ def test_compare_transient_memory_per_call():
     assert peak / n <= 90, f"traced peak {peak / n:.1f} B/call"
 
 
+@pytest.mark.parametrize(
+    "pools",
+    [
+        pytest.param((31300, 34600, 38200), id="all-handed"),
+        pytest.param((1000, 100, 100), id="mostly-blocked"),
+    ],
+)
+def test_load_balanced_memory_beyond_columns(pools):
+    """Beyond the report's three new columns, the engine holds at most two
+    int64 arrays of the queue (its stable order and the rotation's targets)
+    and one bool mask. Copying the handed-over calls' positions, their slice
+    counts and their times peaked at 33.2 B per queued call when every
+    queued call is handed over."""
+    n = 90_000
+    calls = generate_workload(WorkloadParams(n_calls=n, seed=42))
+    tracemalloc.start()
+    try:
+        simulate_load_balanced(topo(*pools), calls)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = 3 * 8 * n  # serving BSC, execution time and slices, 8 B each
+    queued = n - pools[HOME_BSC]
+    assert peak - columns <= 17 * queued, f"{(peak - columns) / queued:.1f} B per queued call"
+
+
 def test_rotation_targets_memory_is_linear_in_handovers():
     """A rounds x pools mask, and every cell gathered from it, peaked at
     17.2 MiB of traced allocations for 100 pools and 20000 handovers; the
