@@ -75,13 +75,12 @@ def blocking_sweep(topology: NetworkTopology, load_levels: list[int]) -> list[Bl
     points = []
     for n in load_levels:
         calls = generate_workload(WorkloadParams(n_calls=n))
-        ns = simulate_normal(topology, calls)
-        lb = simulate_load_balanced(topology, calls)
+        # each report is dropped once its blocking is read: one is held at a time
         points.append(
             BlockingCurvePoint(
                 n_calls=n,
-                ns_blocking=ns.empirical_blocking,
-                lb_blocking=lb.empirical_blocking,
+                ns_blocking=simulate_normal(topology, calls).empirical_blocking,
+                lb_blocking=simulate_load_balanced(topology, calls).empirical_blocking,
             )
         )
     return points

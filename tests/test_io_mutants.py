@@ -1,8 +1,9 @@
 """The tests at the I/O boundary catch a wrong reader, writer or engine.
 
-Each mutant makes one plausible mistake in `traffic`, `cli` or `engine` and
-names the test that must fail under it. The test runs on fixed, seed-free
-instances: a hypothesis test on explicit arguments, a plain one as it is.
+Each mutant makes one plausible mistake in `traffic`, `report`, `cli` or
+`engine` and names the test that must fail under it. The test runs on
+fixed, seed-free instances: a hypothesis test on explicit arguments, a
+plain one as it is.
 Most mutants swap one piece of a function's source for another, in the
 function itself, so that every caller, however it imported the function,
 runs the mistake. A named test that runs the command in a child
@@ -26,7 +27,7 @@ import test_report_writers as writer_tests
 import test_traffic as traffic_tests
 
 import cellbalance
-from cellbalance import cli, engine, traffic
+from cellbalance import cli, engine, report, traffic
 
 # files for test_import_matches_row_by_row_reader, each cut into blocks of
 # a few bytes: (rows, each its fields and its line end), distinct ids or not
@@ -212,16 +213,16 @@ MUTANTS = {
         "test_engine.py::test_slice_accounting_exact",
     ),
     "record indent one space off": (
-        swapped(cli._write_json_records, "f'{pad}  {{{pad}", "f'{pad}   {{{pad}"),
+        swapped(report._write_json_records, "f'{pad}  {{{pad}", "f'{pad}   {{{pad}"),
         "test_report_writers.py::test_streamed_bytes_equal_oracle[compare]",
     ),
     "last partial chunk dropped": (
-        swapped(cli._record_chunks, "range(0, len(report.call_ids), CHUNK_CALLS)",
+        swapped(report._record_chunks, "range(0, len(report.call_ids), CHUNK_CALLS)",
                 "range(0, len(report.call_ids) - CHUNK_CALLS + 1, CHUNK_CALLS)"),
         "test_report_writers.py::test_streamed_bytes_equal_oracle[compare]",
     ),
     "blocked calls name their serving-BSC code": (
-        swapped(cli._record_chunks, "None if bsc == NO_BSC else bsc", "bsc"),
+        swapped(report._record_chunks, "None if bsc == NO_BSC else bsc", "bsc"),
         "test_report_writers.py::test_streamed_bytes_equal_oracle[csv]",
     ),
     "closed stdout refused after the file is written": (

@@ -15,9 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import comparison_document_oracle, records_csv_oracle, report_document_oracle
 
 from cellbalance import cli
+from cellbalance.report import CHUNK_CALLS as CHUNK, write_json
 from cellbalance.traffic import WORKLOAD_HEADER
 
-CHUNK = cli.CHUNK_CALLS
 SPIED = ("simulate_normal", "simulate_load_balanced", "compare_systems", "report_params")
 
 
@@ -146,7 +146,7 @@ def test_write_json_refuses_what_json_refuses():
     """Only a SimulationReport stands in for records; any other object
     fails as json.dumps fails on it."""
     with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
-        cli.write_json(io.StringIO().write, {"params": {"seed": object()}})
+        write_json(io.StringIO().write, {"params": {"seed": object()}})
 
 
 def test_full_compare_memory_stays_flat(tmp_path):
