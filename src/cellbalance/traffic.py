@@ -1,9 +1,9 @@
 """Synthetic call-request workloads: seeded, sorted, replayable.
 
 Arrivals are uniform over a fixed window. One seed drives two independent
-RNG substreams: arrival times, and the positions that only a workload file
-holds, uniform over a square AREA_KM on a side. Regenerating with the same
-params is bit-identical, and a file holds the very calls a run generates.
+PCG64 streams, drawn by _uniform: arrival times, and the positions that only
+a workload file holds, uniform over a square AREA_KM on a side. Regenerating
+with the same params is bit-identical; a file holds generate_workload's calls.
 Every Workload, generated, read from a file or built by hand, holds calls
 the engines can run: sorted by arrival, with finite, valid values.
 """
@@ -83,21 +83,29 @@ def generate_workload(params: WorkloadParams) -> Workload:
     Pure function of params.
     """
     n = params.n_calls
-    arrivals = _substream(params.seed, 0).uniform(0.0, params.arrival_window_ms, size=n)
-    # in place: uniform draws hold no -0.0 and no NaN, so this gives the
-    # values the stable gather in _file_columns gives
+    arrivals = _uniform(params.seed, 0, params.arrival_window_ms, n)
     arrivals.sort()
     return Workload(np.arange(n, dtype=np.int64), arrivals, np.broadcast_to(params.demand_ms, n))
 
 
-def _substream(seed: int, concern: int):
-    """The generator of one concern, 0 arrivals or 1 positions, of the two
-    the seed splits into, so that drawing positions never perturbs arrivals."""
+SUM_CHUNK = 16384  # values worked on at once: bounds the copies _uniform and running_sum make
+
+
+def _uniform(seed: int, concern: int, high: float, n: int) -> np.ndarray:
+    """n floats uniform over [0, high) from one concern, 0 arrivals or 1
+    positions, of the two streams the seed splits into, so that drawing
+    positions never perturbs arrivals. Each is high times the top 53 bits
+    of one of PCG64's raw words as a fraction of 2**53, converted SUM_CHUNK
+    words at a time. numpy keeps that bit stream across releases (NEP 19),
+    not its uniform method, which draws these same floats today."""
     # mask to 64 bits so negative seeds stay valid SeedSequence entropy
-    return np.random.default_rng(np.random.SeedSequence(seed % 2**64).spawn(2)[concern])
-
-
-SUM_CHUNK = 16384  # values accumulated at once: bounds the copy running_sum makes
+    bits = np.random.PCG64(np.random.SeedSequence(seed % 2**64).spawn(2)[concern])
+    draws = np.empty(n)
+    for begin in range(0, n, SUM_CHUNK):
+        chunk = draws[begin:begin + SUM_CHUNK]
+        np.multiply(bits.random_raw(len(chunk)) >> 11, 2**-53, out=chunk)
+        chunk *= high
+    return draws
 
 
 def running_sum(values, start: float = 0.0) -> float:
@@ -131,15 +139,13 @@ def format_workload(write, params: WorkloadParams) -> None:
 
 def _file_columns(params: WorkloadParams) -> tuple[np.ndarray, ...]:
     """The workload file's five columns: generate_workload's calls and their
-    positions, drawn from their own substream, in stable arrival order. The
-    raw draws and their order are freed on return, before any row is
-    written."""
-    n = params.n_calls
-    arrivals = _substream(params.seed, 0).uniform(0.0, params.arrival_window_ms, size=n)
-    order = np.argsort(arrivals, kind="stable")
-    xy = _substream(params.seed, 1).uniform(0.0, AREA_KM, size=(n, 2))
-    ids, demand_ms = np.arange(n, dtype=np.int64), np.broadcast_to(params.demand_ms, n)
-    return ids, arrivals[order], xy[order, 0], xy[order, 1], demand_ms
+    positions, drawn from their own stream and put in the stable order of
+    the unsorted arrival draw. The raw draws and the order are freed on
+    return, before any row is written."""
+    calls, n = generate_workload(params), params.n_calls
+    order = np.argsort(_uniform(params.seed, 0, params.arrival_window_ms, n), kind="stable")
+    x_km, y_km = _uniform(params.seed, 1, AREA_KM, 2 * n).reshape(n, 2)[order].T
+    return calls.ids, calls.arrival_ms, x_km, y_km, calls.demand_ms
 
 
 def import_workload(path: str | Path) -> tuple[Workload, str]:

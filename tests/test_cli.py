@@ -959,6 +959,20 @@ class TestConfigFile:
         assert sorted(load_config_file(str(cfg))) == sorted(cli.CONFIG_KEYS)
         assert len(cli.CONFIG_KEYS) == 10
 
+    def test_readme_library_use_prints_its_comments(self, capsys):
+        """README's python block runs, and each print writes what its
+        trailing comment says: the seed-42 arrivals and outcomes."""
+        readme = Path(__file__).parents[1].joinpath("README.md").read_text()
+        block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(block, {})
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == ["900 [11.37759778 14.19315004]", "587 0", "{0: 313, 1: 294, 2: 293}",
+                           "[1 2 1]"]
+        comments = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+        assert len(comments) == len(printed)
+        for comment, line in zip(comments, printed):
+            assert comment.startswith(line)
+
     def test_unknown_key_names_line(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("n_calls = 6\nbogus = 1\n")

@@ -6,9 +6,8 @@ Print the digests of the running code with
 
     PYTHONPATH=src python tests/test_golden.py
 
-The workload stream comes from numpy's Generator, which numpy does not
-promise to keep across releases (NEP 19), so the digests are stored with
-the numpy version they were recorded under.
+The workload stream is PCG64's raw words, read by traffic._uniform: a bit
+stream numpy keeps across releases (NEP 19), which no Generator method sets.
 """
 
 import hashlib
@@ -18,12 +17,9 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cellbalance.cli import EXIT_OK, main
-
-NUMPY_VERSION = "2.4.6"
 
 WORKLOAD = "<gen file>"  # replaced by the path of the `gen` command's output
 COMMANDS = {
@@ -98,10 +94,7 @@ def digests(name: str, workdir: Path) -> tuple[str, str]:
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_golden_bytes(name, tmp_path):
-    assert digests(name, tmp_path) == DIGESTS[name], (
-        f"`{name}` output changed; digests stored under numpy {NUMPY_VERSION}, "
-        f"running numpy {np.__version__}"
-    )
+    assert digests(name, tmp_path) == DIGESTS[name], f"`{name}` output changed"
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
-"""Where names live: the module attributes the traced benchmark wraps, and
-the direction of the import between `report` and `cli`."""
+"""Where names live: the module attributes the traced benchmark wraps, the
+direction of the import between `report` and `cli`, and the one seeded
+draw."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -48,3 +50,18 @@ def test_report_imports_nothing_from_cli():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_one_seeded_draw():
+    """Every draw goes through traffic._uniform, from PCG64's raw words: no
+    module calls default_rng or builds a Generator, whose methods numpy
+    may change between releases (NEP 19)."""
+    banned = {"default_rng", "Generator"}
+    found = []
+    for path in sorted(Path(cellbalance.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a name, an attribute, or what an import or def names
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in banned:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []

@@ -95,7 +95,7 @@ class TestGenerateWorkload:
     @given(n=st.integers(0, 500), seed=st.integers(-2**63, 2**64 - 1),
            demand=st.floats(min_value=5e-324, allow_infinity=False))
     def test_positions_leave_the_calls_bit_identical(self, tmp_path_factory, n, seed, demand):
-        """Positions come from their own substream: the calls a workload
+        """Positions come from their own stream: the calls a workload
         file holds are, bit for bit, the ids, arrivals and demands that a
         run generates without them."""
         params = WorkloadParams(n_calls=n, seed=seed, demand_ms=demand)
@@ -116,6 +116,29 @@ class TestGenerateWorkload:
                 WorkloadParams(n_calls=1, arrival_window_ms=bad)
             with pytest.raises(ValueError, match="demand_ms"):
                 WorkloadParams(n_calls=1, demand_ms=bad)
+
+
+@pytest.mark.parametrize("concern", [0, 1])
+@pytest.mark.parametrize("seed", [42, 7, -1, 2**70])
+def test_uniform_equals_generator_uniform(seed, concern):
+    """The one draw equals, bit for bit, the floats numpy's own
+    Generator.uniform(0, high, n) draws from the same stream, on one whole
+    chunk and on a size that is not a multiple of it. A numpy that changes
+    that method fails this test, and a seed's reports stay the same."""
+    for high in (2000.0, 395.8421542742645, 200000.0, 1e-300, 1.7e308):
+        for n in (0, traffic.SUM_CHUNK, 200_000):
+            generator = np.random.default_rng(np.random.SeedSequence(seed % 2**64).spawn(2)[concern])
+            expected = generator.uniform(0.0, high, size=n)
+            assert traffic._uniform(seed, concern, high, n).tobytes() == expected.tobytes()
+
+
+def test_uniform_positions_shape():
+    """A file's positions are 2n draws read as n rows of x and y, which is
+    how Generator.uniform fills an (n, 2) size."""
+    generator = np.random.default_rng(np.random.SeedSequence(42).spawn(2)[1])
+    expected = generator.uniform(0.0, AREA_KM, size=(900, 2))
+    drawn = traffic._uniform(42, 1, AREA_KM, 2 * 900).reshape(900, 2)
+    assert drawn.tobytes() == expected.tobytes()
 
 
 class TestAverageArrivalRange:
@@ -338,6 +361,35 @@ def test_undecodable_byte_past_first_block(tmp_path, bad_row):
         bytes(data).decode()
     assert str(raised.value) == str(whole.value)
     assert f"position {at}:" in str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "at_end, message",
+    [
+        pytest.param(False, "bytes in position 131079-131080: invalid continuation byte",
+                     id="3-byte sequence cut past block 2"),
+        pytest.param(True, "bytes in position 196887-196889: unexpected end of data",
+                     id="4-byte lead cut by end of file"),
+    ],
+)
+def test_multibyte_sequence_cut_short(tmp_path, at_end, message):
+    """A sequence of several bytes that does not decode is named by its
+    span of file positions, as the whole file's error names it."""
+    path = tmp_path / "calls.csv"
+    export(WorkloadParams(n_calls=3000, seed=5), path)
+    data = bytearray(path.read_bytes())
+    if at_end:
+        data += b"\xf0\x9f\x98"
+    else:
+        at = data.index(b"\n", 2 * traffic.READ_BYTES) + 1
+        data[at:at + 2] = b"\xe2\x82"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as raised:
+        import_workload(path)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        bytes(data).decode()
+    assert str(raised.value) == str(whole.value)
+    assert message in str(raised.value)
 
 
 def test_decode_error_memory_stays_flat(tmp_path):
