@@ -125,7 +125,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     Builds the topology, workload and load-balancing params, so a bad value
     raises ValueError (exit 2) before any subcommand runs.
     """
-    values = {"n_calls": 900}
+    values = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
     for key, (flag, _, _) in CONFIG_KEYS.items():

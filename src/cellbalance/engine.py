@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .topology import HOME_BSC, BscId, NetworkTopology
-from .traffic import SUM_CHUNK, Workload, running_sum
+from .traffic import CHUNK, Workload, running_sum
 
 DEFAULT_CONTEXT_SWITCH_MS = 0.1
 DEFAULT_WAITING_MS = 3.0
@@ -358,8 +358,8 @@ def simulate_load_balanced(
         np.multiply(queue_slices, slice_time, out=queue_times, where=queue_slices > 0)
         # then the handovers as they finish, gathered a chunk at a time: the
         # sum runs left to right, so chunking it changes no bit
-        for begin in range(0, len(served), SUM_CHUNK):
-            total = running_sum(queue_times[served[begin:begin + SUM_CHUNK]], start=total)
+        for begin in range(0, len(served), CHUNK):
+            total = running_sum(queue_times[served[begin:begin + CHUNK]], start=total)
         del order, served  # freed before the report's own check allocates
 
     return SimulationReport(LOAD_BALANCED, pools, total, quantum, calls.ids, serving, times, slices)

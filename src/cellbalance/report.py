@@ -5,9 +5,9 @@ chunk at a time, as they are written."""
 
 import json
 
-from .engine import NO_BSC, ComparisonReport, LbParams, SimulationReport, disposition
+from .engine import NO_BSC, NORMAL, ComparisonReport, LbParams, SimulationReport, disposition
 from .topology import CELLS_PER_BSC, HOME_BSC
-from .traffic import AREA_KM
+from .traffic import AREA_KM, CHUNK
 
 
 def report_params(lb_params: LbParams, report: SimulationReport, source: dict) -> dict:
@@ -81,11 +81,8 @@ def write_json(write, doc: dict) -> None:
     write(last + "\n")
 
 
-CHUNK_CALLS = 4096  # calls rendered per write: bounds the text held at once
-
-
 def _record_chunks(report: SimulationReport, outcome):
-    """The per-call columns, CHUNK_CALLS calls at a time, as four lists: call
+    """The per-call columns, CHUNK calls at a time, as four lists: call
     id, outcome, execution time and slices. A call's outcome is its
     disposition and serving BSC fields, `outcome(disposition, serving BSC
     or None)`, rendered once per serving BSC."""
@@ -93,8 +90,8 @@ def _record_chunks(report: SimulationReport, outcome):
         bsc: outcome(disposition(bsc), None if bsc == NO_BSC else bsc)
         for bsc in range(NO_BSC, len(report.bsc_channels))
     }
-    for start in range(0, len(report.call_ids), CHUNK_CALLS):
-        part = slice(start, start + CHUNK_CALLS)
+    for start in range(0, len(report.call_ids), CHUNK):
+        part = slice(start, start + CHUNK)
         yield (
             report.call_ids[part].tolist(),
             list(map(outcomes.__getitem__, report.serving_bscs[part].tolist())),
@@ -152,7 +149,7 @@ def console_block(report: SimulationReport) -> str:
     ]
     if overflow > 0:
         lines.append("BSC1 overloaded")
-    if report.system == "normal":
+    if report.system == NORMAL:
         lines.append(f"Number of Blocked calls = {report.blocked}")
     else:
         lines.append(f"Number of Handover calls = {report.handed_over}")

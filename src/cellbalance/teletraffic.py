@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .engine import simulate_load_balanced, simulate_normal
 from .topology import NetworkTopology
-from .traffic import INT64, WorkloadParams, generate_workload
+from .traffic import MAX_CALLS, WorkloadParams, generate_workload
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ def blocking_sweep(topology: NetworkTopology, load_levels: list[int]) -> list[Bl
     for n in load_levels:
         if n < 0:
             raise ValueError(f"load level {n} is negative")
-        if n > INT64.max:
-            raise ValueError(f"load level {n} is above {INT64.max}, the most calls numpy indexes")
+        if n > MAX_CALLS:
+            raise ValueError(f"load level {n} is above {MAX_CALLS}, the most calls numpy allocates")
         if previous is not None and n < previous:
             raise ValueError(f"load levels must ascend: {n} after {previous}")
         previous = n

@@ -17,11 +17,14 @@ import numpy as np
 
 DEFAULT_ARRIVAL_WINDOW_MS = 2000.0
 DEFAULT_DEMAND_MS = 0.4
+DEFAULT_N_CALLS = 900
 DEFAULT_SEED = 42
 AREA_KM = 1.0
 
 WORKLOAD_HEADER = "id,arrival_ms,x_km,y_km,demand_ms"
 INT64 = np.iinfo(np.int64)
+MAX_CALLS = INT64.max // 8  # the longest 8-byte per-call column numpy allocates
+CHUNK = 4096  # per-call items a loop converts or renders at once: bounds what it holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +61,7 @@ class Workload:
 
 @dataclass(frozen=True)
 class WorkloadParams:
-    n_calls: int
+    n_calls: int = DEFAULT_N_CALLS
     seed: int = DEFAULT_SEED
     arrival_window_ms: float = DEFAULT_ARRIVAL_WINDOW_MS
     demand_ms: float = DEFAULT_DEMAND_MS
@@ -66,8 +69,8 @@ class WorkloadParams:
     def __post_init__(self) -> None:
         if self.n_calls < 0:
             raise ValueError(f"n_calls = {self.n_calls}, need >= 0")
-        if self.n_calls > INT64.max:  # numpy indexes no more
-            raise ValueError(f"n_calls = {self.n_calls}, need <= {INT64.max}")
+        if self.n_calls > MAX_CALLS:
+            raise ValueError(f"n_calls = {self.n_calls}, need <= {MAX_CALLS}")
         if not 0 < self.arrival_window_ms < math.inf:
             raise ValueError(
                 f"arrival_window_ms = {self.arrival_window_ms}, need finite and > 0"
@@ -88,21 +91,18 @@ def generate_workload(params: WorkloadParams) -> Workload:
     return Workload(np.arange(n, dtype=np.int64), arrivals, np.broadcast_to(params.demand_ms, n))
 
 
-SUM_CHUNK = 16384  # values worked on at once: bounds the copies _uniform and running_sum make
-
-
 def _uniform(seed: int, concern: int, high: float, n: int) -> np.ndarray:
     """n floats uniform over [0, high) from one concern, 0 arrivals or 1
     positions, of the two streams the seed splits into, so that drawing
     positions never perturbs arrivals. Each is high times the top 53 bits
-    of one of PCG64's raw words as a fraction of 2**53, converted SUM_CHUNK
+    of one of PCG64's raw words as a fraction of 2**53, converted CHUNK
     words at a time. numpy keeps that bit stream across releases (NEP 19),
     not its uniform method, which draws these same floats today."""
     # mask to 64 bits so negative seeds stay valid SeedSequence entropy
     bits = np.random.PCG64(np.random.SeedSequence(seed % 2**64).spawn(2)[concern])
     draws = np.empty(n)
-    for begin in range(0, n, SUM_CHUNK):
-        chunk = draws[begin:begin + SUM_CHUNK]
+    for begin in range(0, n, CHUNK):
+        chunk = draws[begin:begin + CHUNK]
         np.multiply(bits.random_raw(len(chunk)) >> 11, 2**-53, out=chunk)
         chunk *= high
     return draws
@@ -110,30 +110,27 @@ def _uniform(seed: int, concern: int, high: float, n: int) -> np.ndarray:
 
 def running_sum(values, start: float = 0.0) -> float:
     """start + values[0] + values[1] + ..., added left to right as a loop
-    adds them, SUM_CHUNK values at a time.
+    adds them, CHUNK values at a time.
 
     np.sum adds pairwise and sum() compensates on Python 3.12+, so either
     would round differently and make reports depend on the versions used.
     """
     values = np.asarray(values, dtype=float)
     total = float(start)
-    for begin in range(0, len(values), SUM_CHUNK):
-        total = float(np.cumsum(np.concatenate(([total], values[begin:begin + SUM_CHUNK])))[-1])
+    for begin in range(0, len(values), CHUNK):
+        total = float(np.cumsum(np.concatenate(([total], values[begin:begin + CHUNK])))[-1])
     return total
-
-
-EXPORT_ROWS = 8192  # rows formatted per write: bounds the text held at once
 
 
 def format_workload(write, params: WorkloadParams) -> None:
     """Write the calls generate_workload(params) draws, each placed in the
     square, as columnar text, one call per line, floats in full round-trip
-    precision, EXPORT_ROWS lines per write: a workload file that
+    precision, CHUNK lines per write: a workload file that
     import_workload reads back bit-identically."""
     columns = _file_columns(params)
     write(WORKLOAD_HEADER + "\n")
-    for start in range(0, params.n_calls, EXPORT_ROWS):
-        rows = zip(*(column[start:start + EXPORT_ROWS].tolist() for column in columns))
+    for start in range(0, params.n_calls, CHUNK):
+        rows = zip(*(column[start:start + CHUNK].tolist() for column in columns))
         write("".join(f"{i},{t!r},{x!r},{y!r},{d!r}\n" for i, t, x, y, d in rows))
 
 

@@ -22,6 +22,7 @@ from cellbalance.cli import (
 from cellbalance.topology import NetworkTopology
 from cellbalance.traffic import (
     DEFAULT_DEMAND_MS,
+    MAX_CALLS,
     WORKLOAD_HEADER,
     WorkloadParams,
     generate_workload,
@@ -422,18 +423,21 @@ def test_flag_the_subcommand_ignores_exit_2(capsys, command, flags):
 HUGE = "99999999999999999999"  # above int64, so above any size numpy indexes
 
 
-@pytest.mark.parametrize(
-    "argv, named",
-    [
-        pytest.param(["run", "lb", "--calls", HUGE], f"n_calls = {HUGE}, need <= {2**63 - 1}",
-                     id="run"),
-        pytest.param(["gen", "--calls", HUGE], f"n_calls = {HUGE}, need <= {2**63 - 1}", id="gen"),
-        pytest.param(["sweep", HUGE], f"load level {HUGE}", id="sweep"),
-    ],
-)
+def refused_sizes():
+    """Each command at a count above MAX_CALLS: above int64, and two that
+    numpy indexes but allocates no 8-byte column for."""
+    for size, tag in ((HUGE, ""), (2**62, "-2**62"), (MAX_CALLS + 1, "-2**60")):
+        need = f"n_calls = {size}, need <= {MAX_CALLS}"
+        yield pytest.param(["run", "lb", "--calls", str(size)], need, id=f"run{tag}")
+        yield pytest.param(["gen", "--calls", str(size)], need, id=f"gen{tag}")
+        yield pytest.param(["sweep", str(size)], f"load level {size}", id=f"sweep{tag}")
+
+
+@pytest.mark.parametrize("argv, named", refused_sizes())
 def test_size_numpy_cannot_index_exit_2(capsys, argv, named):
-    """These exited 2 with numpy's `Maximum allowed dimension exceeded`,
-    which names neither the flag nor the level."""
+    """These exited 2 with numpy's `Maximum allowed dimension exceeded`
+    above int64, or `array is too big` below it, neither of which names
+    the flag or the level."""
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and named in captured.err

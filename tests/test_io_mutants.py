@@ -217,8 +217,8 @@ MUTANTS = {
         "test_report_writers.py::test_streamed_bytes_equal_oracle[compare]",
     ),
     "last partial chunk dropped": (
-        swapped(report._record_chunks, "range(0, len(report.call_ids), CHUNK_CALLS)",
-                "range(0, len(report.call_ids) - CHUNK_CALLS + 1, CHUNK_CALLS)"),
+        swapped(report._record_chunks, "range(0, len(report.call_ids), CHUNK)",
+                "range(0, len(report.call_ids) - CHUNK + 1, CHUNK)"),
         "test_report_writers.py::test_streamed_bytes_equal_oracle[compare]",
     ),
     "blocked calls name their serving-BSC code": (

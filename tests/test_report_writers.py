@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import comparison_document_oracle, records_csv_oracle, report_document_oracle
 
 from cellbalance import cli
-from cellbalance.report import CHUNK_CALLS as CHUNK, write_json
-from cellbalance.traffic import WORKLOAD_HEADER
+from cellbalance.report import write_json
+from cellbalance.traffic import CHUNK, WORKLOAD_HEADER
 
 SPIED = ("simulate_normal", "simulate_load_balanced", "compare_systems", "report_params")
 
@@ -152,7 +152,7 @@ def test_write_json_refuses_what_json_refuses():
 def test_full_compare_memory_stays_flat(tmp_path):
     """Building every record as an object, then a dict, then one string
     peaked at 146.6 MiB of traced allocations on this command; rendering
-    CHUNK_CALLS calls at a time peaks at about 7 MiB."""
+    CHUNK calls at a time peaks at about 7 MiB."""
     argv = ["compare", "--calls", "50000", "--bsc-channels", "17400,19200,21200", "--full"]
     tracemalloc.start()
     try:
@@ -195,7 +195,7 @@ def test_replay_memory_stays_flat(tmp_path, last_row, exit_code):
 
 def test_gen_memory_stays_flat(tmp_path):
     """Formatting the whole workload file as one string first peaked at
-    21.0 MiB of traced allocations on this command; writing EXPORT_ROWS
+    21.0 MiB of traced allocations on this command; writing CHUNK
     rows at a time peaks at about 5 MiB."""
     tracemalloc.start()
     try:

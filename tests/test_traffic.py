@@ -31,11 +31,16 @@ def export(params, path):
         format_workload(fh.write, params)
 
 
-def positions(params) -> list[tuple[float, float]]:
-    """The x and y of each row format_workload writes for `params`."""
+def written(params) -> str:
+    """The text format_workload writes for `params`."""
     parts = []
     format_workload(parts.append, params)
-    rows = "".join(parts).splitlines()[1:]
+    return "".join(parts)
+
+
+def positions(params) -> list[tuple[float, float]]:
+    """The x and y of each row format_workload writes for `params`."""
+    rows = written(params).splitlines()[1:]
     return [(float(x), float(y)) for x, y in (row.split(",")[2:4] for row in rows)]
 
 
@@ -126,7 +131,7 @@ def test_uniform_equals_generator_uniform(seed, concern):
     chunk and on a size that is not a multiple of it. A numpy that changes
     that method fails this test, and a seed's reports stay the same."""
     for high in (2000.0, 395.8421542742645, 200000.0, 1e-300, 1.7e308):
-        for n in (0, traffic.SUM_CHUNK, 200_000):
+        for n in (0, traffic.CHUNK, 200_000):
             generator = np.random.default_rng(np.random.SeedSequence(seed % 2**64).spawn(2)[concern])
             expected = generator.uniform(0.0, high, size=n)
             assert traffic._uniform(seed, concern, high, n).tobytes() == expected.tobytes()
@@ -141,7 +146,7 @@ def test_uniform_positions_shape():
     assert drawn.tobytes() == expected.tobytes()
 
 
-class TestAverageArrivalRange:
+class TestQuantumNumerator:
     """The quantum's numerator, the queued calls' mean arrival: the engine
     takes it as running_sum over their count."""
 
@@ -159,12 +164,12 @@ class TestAverageArrivalRange:
 @given(
     values=st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=50),
     start=st.floats(min_value=-1e6, max_value=1e6),
-    chunk=st.one_of(st.just(traffic.SUM_CHUNK), st.integers(min_value=1, max_value=8)),
+    chunk=st.one_of(st.just(traffic.CHUNK), st.integers(min_value=1, max_value=8)),
 )
 def test_running_sum_matches_loop(values, start, chunk):
     """Also with chunks a few values long, so the total carries across them."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(traffic, "SUM_CHUNK", chunk)
+        patch.setattr(traffic, "CHUNK", chunk)
         assert running_sum(values, start) == sequential_sum([start] + values)
 
 
@@ -205,11 +210,19 @@ class TestWorkloadFiles:
         assert same_workload(back, generate_workload(params))
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_format_across_chunks(self, chunk):
+        """Rows written a few at a time, so that a file's rows cross chunk
+        boundaries, are the text written CHUNK rows at a time."""
+        for n in (0, 1, 4, 7):
+            params = WorkloadParams(n_calls=n, seed=5)
+            expected = written(params)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(traffic, "CHUNK", chunk)
+                assert written(params) == expected
+
     def test_format_header_and_width(self):
-        parts = []
-        format_workload(parts.append, WorkloadParams(n_calls=3, seed=5))
-        text = "".join(parts)
-        lines = text.splitlines()
+        lines = written(WorkloadParams(n_calls=3, seed=5)).splitlines()
         assert lines[0] == WORKLOAD_HEADER
         assert len(lines) == 4
         assert all(len(ln.split(",")) == 5 for ln in lines[1:])
