@@ -381,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # numpy's message names the size; a bare one is empty
+        print(f"error: not enough memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -39,14 +39,8 @@ class Workload:
     demand_ms: np.ndarray
 
     def __post_init__(self) -> None:
-        arrivals, demands = self.arrival_ms, self.demand_ms
-        # min and max carry a NaN through, so it breaks both rules
-        low, high = arrivals.min(initial=math.inf), arrivals.max(initial=-math.inf)
-        if not (0 <= low and high < math.inf):
-            raise ValueError(f"arrival_ms from {low} to {high}, need finite and >= 0")
-        low, high = demands.min(initial=math.inf), demands.max(initial=-math.inf)
-        if not (0 < low and high < math.inf):
-            raise ValueError(f"demand_ms from {low} to {high}, need finite and > 0")
+        arrivals = self.arrival_ms
+        _check_values(arrivals, self.demand_ms)
         late = np.flatnonzero(arrivals[1:] < arrivals[:-1])
         if late.size:
             prev, cur = late[0], late[0] + 1
@@ -57,6 +51,21 @@ class Workload:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def _check_values(arrival_ms: np.ndarray, demand_ms: np.ndarray) -> None:
+    """Raise ValueError unless arrivals are finite and >= 0 and demands are
+    finite and > 0, naming a column's one value or else its range: the rule
+    of a Workload, a workload file's block and each row of a refused block."""
+    for name, values, least, need in (
+        ("arrival_ms", arrival_ms, 0.0, "need finite and >= 0"),
+        ("demand_ms", demand_ms, math.ulp(0.0), "need finite and > 0"),  # the least float > 0
+    ):
+        # min and max carry a NaN through, so it breaks both rules
+        low, high = values.min(initial=math.inf), values.max(initial=-math.inf)
+        if not (least <= low and high < math.inf):
+            held = low if len(values) == 1 else f"from {low} to {high}"
+            raise ValueError(f"{name} {held}, {need}")
 
 
 @dataclass(frozen=True)
@@ -154,9 +163,9 @@ def import_workload(path: str | Path) -> tuple[Workload, str]:
     /dev/stdin reads as a file does. The same pass numbers the lines and
     finds a refused file's fault, and the first of these wins: a decode
     error anywhere, at its byte in the file; a missing header; the first
-    row, naming its line, that has not five fields, has a field that does
-    not parse, repeats an earlier call id, holds an id outside int64, or an
-    arrival or demand Workload refuses.
+    row, naming its line, that breaks _parse_rows's rules, repeats an
+    earlier call id or breaks _check_values's, Workload's own. Each block
+    is checked whole, and a refused one again row by row.
     """
     digest = hashlib.sha256()
     with Path(path).open("rb") as fh:
@@ -208,9 +217,9 @@ class _FileDecodeError(UnicodeDecodeError):
 
 def _read_columns(fh, digest, path) -> tuple[np.ndarray, ...]:
     """The file's id, arrival and demand columns, block by block, or
-    ValueError naming the fault import_workload names. Once a fault is
-    found, the blocks left are only decoded and hashed, so that a decode
-    error anywhere still wins."""
+    ValueError naming the fault import_workload names; _first_fault walks
+    a refused block. Once a fault is found, the blocks left are only
+    decoded and hashed, so that a decode error anywhere still wins."""
     id_blocks = [np.zeros(0, dtype=np.int64)]  # so that no rows concatenate to no calls
     value_blocks = [np.zeros((2, 0))]
     line_blocks = []  # the file line of each data row, block by block
@@ -232,6 +241,7 @@ def _read_columns(fh, digest, path) -> tuple[np.ndarray, ...]:
             line_blocks.append(at)
             try:
                 ids, values = _parse_rows(rows)
+                _check_values(*values)
             except ValueError:
                 row, ids, rule = _first_fault(rows)
                 fault = sum(map(len, id_blocks)) + row, rule
@@ -263,46 +273,33 @@ def _read_columns(fh, digest, path) -> tuple[np.ndarray, ...]:
 def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Rows as their id column and their arrival and demand columns, each
     field column parsed in one pass and both positions parsed, then
-    dropped. Raises ValueError if a row breaks a rule _first_fault names,
-    save that ids be distinct."""
-    if any(row.count(",") != 4 for row in rows):
-        raise ValueError("a row without five fields")
+    dropped. Raises ValueError if a row has not five fields, a field does
+    not parse or an id does not fit int64, naming the rule a row breaks,
+    so that given one row it names that row's fault."""
+    for row in rows:
+        if row.count(",") != 4:
+            raise ValueError(f"expected 5 fields, got {row.count(',') + 1}")
     fields = ",".join(rows).split(",")
     ids = list(map(int, fields[0::5]))
     del fields[0::5]
     values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
-    if not INT64.min <= min(ids) <= max(ids) <= INT64.max:
-        raise ValueError("a call id outside int64")
-    arrival_ms, demand_ms = columns = values.reshape(-1, 4).T[[0, 3]]
-    # min and max carry a NaN through, so it breaks these rules
-    if not (0 <= arrival_ms.min() and 0 < demand_ms.min() and columns.max() < math.inf):
-        raise ValueError("an arrival or demand Workload refuses")
-    return np.array(ids, dtype=np.int64), columns
+    low, high = min(ids), max(ids)
+    if not INT64.min <= low <= high <= INT64.max:
+        raise ValueError(f"call id {low if low < INT64.min else high} is outside int64")
+    return np.array(ids, dtype=np.int64), values.reshape(-1, 4).T[[0, 3]]
 
 
 def _first_fault(rows: list[str]) -> tuple[int, list[int], str]:
     """The first of `rows` to break a file rule: its index, the ids up to
-    it that the duplicate rule checks, and the rule it breaks. A row's
-    rules apply in this order: five fields; each parses; its id repeats
-    none before it, which the caller checks across the file on these ids;
-    the id is within int64; the arrival is finite and >= 0; the demand is
-    finite and > 0."""
+    it that the duplicate rule checks, and the rule it breaks: _parse_rows's
+    on the row alone, then _check_values's. A row's id joins the ids once
+    it parses and fits int64, so a repeat wins over its arrival or demand."""
     ids = []
     for row, line in enumerate(rows):
-        fields = line.split(",")
-        if len(fields) != 5:
-            return row, ids, f"expected 5 fields, got {len(fields)}"
         try:
-            call_id = int(fields[0])
-            arrival_ms, _, _, demand_ms = map(float, fields[1:])
+            (call_id,), values = _parse_rows([line])
+            ids.append(call_id)
+            _check_values(*values)
         except ValueError as exc:
             return row, ids, str(exc)
-        # an id outside int64 repeats none before: that row would be refused first
-        if not INT64.min <= call_id <= INT64.max:
-            return row, ids, f"call id {call_id} is outside int64"
-        ids.append(call_id)
-        if not 0 <= arrival_ms < math.inf:
-            return row, ids, f"arrival_ms {arrival_ms}, need finite and >= 0"
-        if not 0 < demand_ms < math.inf:
-            return row, ids, f"demand_ms {demand_ms}, need finite and > 0"
     raise RuntimeError("a block of the workload file was refused, but no row of it breaks a rule")

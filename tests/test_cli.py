@@ -444,6 +444,28 @@ def test_size_numpy_cannot_index_exit_2(capsys, argv, named):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["run", "lb", "--calls"], ["gen", "--calls"],
+                                  ["compare", "--calls"], ["sweep"]], ids=" ".join)
+def test_size_no_machine_allocates_exit_2(capsys, argv):
+    """At MAX_CALLS the first per-call column takes 8 EiB, more than any
+    64-bit address space, so numpy refuses it before touching memory.
+    Each exited 1 with `internal error: Unable to allocate 8.00 EiB`."""
+    assert main(argv + [str(MAX_CALLS)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: not enough memory: Unable to allocate 8.00 EiB")
+    assert captured.out == ""
+
+
+def test_bare_memory_error_worded_exit_2(capsys, monkeypatch):
+    """A MemoryError raised without words still says what failed."""
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "resolve_config", exhausted)
+    assert main(["run", "lb"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: not enough memory: an allocation failed\n"
+
+
 class TestCompareCommand:
     def test_default_scenario_deltas(self, tmp_path, capsys):
         doc = run_json(tmp_path, ["compare"])

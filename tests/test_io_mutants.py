@@ -176,7 +176,15 @@ MUTANTS = {
         "test_traffic.py::test_undecodable_byte_past_first_block",
     ),
     "arrivals checked only for finiteness": (
-        swapped(traffic._parse_rows, "0 <= arrival_ms.min()", "-math.inf < arrival_ms.min()"),
+        swapped(traffic._check_values, "arrival_ms, 0.0,", "arrival_ms, -math.inf,"),
+        "test_traffic.py::test_import_matches_row_by_row_reader[negative arrival]",
+    ),
+    "block values left to Workload": (
+        swapped(traffic._read_columns, "                _check_values(*values)\n", ""),
+        "test_traffic.py::test_import_matches_row_by_row_reader[negative arrival]",
+    ),
+    "one row worded as a range": (
+        swapped(traffic._check_values, "len(values) == 1", "False"),
         "test_traffic.py::test_import_matches_row_by_row_reader[negative arrival]",
     ),
     "line count off by one per block": (
@@ -196,7 +204,7 @@ MUTANTS = {
         "test_traffic.py::test_import_matches_row_by_row_reader[duplicate]",
     ),
     "a refused row's id escapes the duplicate rule": (
-        swapped(traffic._first_fault, "        ids.append(call_id)\n", ""),
+        swapped(traffic._first_fault, "            ids.append(call_id)\n", ""),
         "test_traffic.py::test_import_matches_row_by_row_reader[duplicate, bad arrival]",
     ),
     "decode position relative to its block": (
