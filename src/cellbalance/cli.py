@@ -31,7 +31,13 @@ from .report import (
 )
 from .teletraffic import OfferedLoad, blocking_sweep, erlang_b, format_blocking_csv
 from .topology import NetworkTopology
-from .traffic import WorkloadParams, format_workload, generate_workload, import_workload
+from .traffic import (
+    WorkloadParams,
+    format_workload,
+    generate_workload,
+    import_workload,
+    workload_columns,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -316,8 +322,8 @@ def _cmd_erlang(args: argparse.Namespace, config: RunConfig):
 
 
 def _cmd_gen(args: argparse.Namespace, config: RunConfig):
-    # the work is the writing: the calls are drawn as their rows are written
-    return "", lambda write: format_workload(write, config.workload_params)
+    columns = workload_columns(config.workload_params)
+    return "", lambda write: format_workload(write, columns)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -85,7 +85,9 @@ class SimulationReport:
     """One run: its totals and its per-call columns in arrival order: call
     id, serving BSC (NO_BSC when blocked), execution time and round-robin
     slices. The columns are the run's only record of outcomes; every count
-    is read from the serving-BSC column.
+    is read from the serving-BSC column. The engines write that column in
+    the narrowest signed integer that holds NO_BSC and every pool index
+    (int8 up to 128 BSCs, int16 beyond).
 
     Raises ValueError, a run its input overflows, unless the total and the
     quantum are finite, and so every time. Raises RuntimeError, an internal
@@ -263,7 +265,7 @@ def simulate_normal(
     """
     n = len(calls)
     home = min(n, topology.bsc_channels[HOME_BSC])
-    serving, times = _home_admitted(calls, home, params.waiting_ms)
+    serving, times = _home_admitted(calls, topology.bsc_channels, home, params.waiting_ms)
     total = running_sum(calls.arrival_ms[home:] + params.waiting_ms, running_sum(times[:home]))
     return SimulationReport(
         NORMAL, topology.bsc_channels, total, None, calls.ids, serving, times,
@@ -271,11 +273,15 @@ def simulate_normal(
     )
 
 
-def _home_admitted(calls: Workload, home: int, waiting_ms: float) -> tuple[np.ndarray, np.ndarray]:
+def _home_admitted(
+    calls: Workload, pools: tuple[int, ...], home: int, waiting_ms: float
+) -> tuple[np.ndarray, np.ndarray]:
     """The serving-BSC and execution-time columns once the first `home`
     calls are admitted at home, each charged arrival + waiting; every other
-    call is blocked with zero time so far."""
-    serving = np.full(len(calls), NO_BSC)
+    call is blocked with zero time so far. The serving column is the
+    narrowest signed integer that holds NO_BSC and every index of `pools`:
+    int8 up to 128 pools."""
+    serving = np.full(len(calls), NO_BSC, dtype=np.min_scalar_type(-len(pools)))
     serving[:home] = HOME_BSC
     times = np.zeros(len(calls))
     np.add(calls.arrival_ms[:home], waiting_ms, out=times[:home])
@@ -327,7 +333,7 @@ def simulate_load_balanced(
     capacities = pools[HOME_BSC + 1:]
     n = len(calls)
     home = min(n, pools[HOME_BSC])
-    serving, times = _home_admitted(calls, home, params.waiting_ms)
+    serving, times = _home_admitted(calls, pools, home, params.waiting_ms)
     slices = np.zeros(n, dtype=np.int64)
     total = running_sum(times[:home])  # the system clock: home calls in arrival order
     quantum = None
@@ -350,7 +356,7 @@ def simulate_load_balanced(
         served = order[:capacity]  # queue positions of the handed-over calls, as they finish
         targets = _rotation_targets(capacities, len(served))
         targets += HOME_BSC + 1
-        serving[home:][served] = targets
+        serving[home:][served] = targets  # cast to the column's dtype, which holds every index
         del targets  # before the mask below is built
         # only handed-over calls: a blocked one keeps +0.0 even if a slice costs inf
         queue_times = times[home:]

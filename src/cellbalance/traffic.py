@@ -10,6 +10,7 @@ the engines can run: sorted by arrival, with finite, valid values.
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,7 @@ WORKLOAD_HEADER = "id,arrival_ms,x_km,y_km,demand_ms"
 INT64 = np.iinfo(np.int64)
 MAX_CALLS = INT64.max // 8  # the longest 8-byte per-call column numpy allocates
 CHUNK = 4096  # per-call items a loop converts or renders at once: bounds what it holds
+FLOAT_MAX = sys.float_info.max  # a Python float, which compares with any int exactly
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +63,10 @@ def _check_values(arrival_ms: np.ndarray, demand_ms: np.ndarray) -> None:
         ("arrival_ms", arrival_ms, 0.0, "need finite and >= 0"),
         ("demand_ms", demand_ms, math.ulp(0.0), "need finite and > 0"),  # the least float > 0
     ):
+        if not len(values):  # min and max need an initial value then, and inf is no int
+            continue
         # min and max carry a NaN through, so it breaks both rules
-        low, high = values.min(initial=math.inf), values.max(initial=-math.inf)
+        low, high = values.min(), values.max()
         if not (least <= low and high < math.inf):
             held = low if len(values) == 1 else f"from {low} to {high}"
             raise ValueError(f"{name} {held}, {need}")
@@ -80,24 +84,27 @@ class WorkloadParams:
             raise ValueError(f"n_calls = {self.n_calls}, need >= 0")
         if self.n_calls > MAX_CALLS:
             raise ValueError(f"n_calls = {self.n_calls}, need <= {MAX_CALLS}")
-        if not 0 < self.arrival_window_ms < math.inf:
+        # up to the largest float, not inf: an int above it converts to no float
+        if not 0 < self.arrival_window_ms <= FLOAT_MAX:
             raise ValueError(
                 f"arrival_window_ms = {self.arrival_window_ms}, need finite and > 0"
             )
-        if not 0 < self.demand_ms < math.inf:
+        if not 0 < self.demand_ms <= FLOAT_MAX:
             raise ValueError(f"demand_ms = {self.demand_ms}, need finite and > 0")
 
 
 def generate_workload(params: WorkloadParams) -> Workload:
     """Draw n_calls requests, sorted by arrival time, ids dense from 0, each
-    demanding params.demand_ms (one read-only value for every call).
+    demanding params.demand_ms as a float (one read-only value for every
+    call), so an int demand draws the calls its float does.
 
     Pure function of params.
     """
     n = params.n_calls
     arrivals = _uniform(params.seed, 0, params.arrival_window_ms, n)
     arrivals.sort()
-    return Workload(np.arange(n, dtype=np.int64), arrivals, np.broadcast_to(params.demand_ms, n))
+    demand = np.broadcast_to(float(params.demand_ms), n)
+    return Workload(np.arange(n, dtype=np.int64), arrivals, demand)
 
 
 def _uniform(seed: int, concern: int, high: float, n: int) -> np.ndarray:
@@ -131,23 +138,21 @@ def running_sum(values, start: float = 0.0) -> float:
     return total
 
 
-def format_workload(write, params: WorkloadParams) -> None:
-    """Write the calls generate_workload(params) draws, each placed in the
-    square, as columnar text, one call per line, floats in full round-trip
-    precision, CHUNK lines per write: a workload file that
-    import_workload reads back bit-identically."""
-    columns = _file_columns(params)
+def format_workload(write, columns: tuple[np.ndarray, ...]) -> None:
+    """Write the five columns workload_columns draws as columnar text, one
+    call per line, floats in full round-trip precision, CHUNK lines per
+    write: a workload file that import_workload reads back bit-identically."""
     write(WORKLOAD_HEADER + "\n")
-    for start in range(0, params.n_calls, CHUNK):
+    for start in range(0, len(columns[0]), CHUNK):
         rows = zip(*(column[start:start + CHUNK].tolist() for column in columns))
         write("".join(f"{i},{t!r},{x!r},{y!r},{d!r}\n" for i, t, x, y, d in rows))
 
 
-def _file_columns(params: WorkloadParams) -> tuple[np.ndarray, ...]:
+def workload_columns(params: WorkloadParams) -> tuple[np.ndarray, ...]:
     """The workload file's five columns: generate_workload's calls and their
-    positions, drawn from their own stream and put in the stable order of
-    the unsorted arrival draw. The raw draws and the order are freed on
-    return, before any row is written."""
+    positions in the square, drawn from their own stream and put in the
+    stable order of the unsorted arrival draw. The raw draws and the order
+    are freed on return, before any row is written."""
     calls, n = generate_workload(params), params.n_calls
     order = np.argsort(_uniform(params.seed, 0, params.arrival_window_ms, n), kind="stable")
     x_km, y_km = _uniform(params.seed, 1, AREA_KM, 2 * n).reshape(n, 2)[order].T
@@ -170,8 +175,11 @@ def import_workload(path: str | Path) -> tuple[Workload, str]:
     digest = hashlib.sha256()
     with Path(path).open("rb") as fh:
         ids, arrival_ms, demand_ms = _read_columns(fh, digest, path)
-    order = np.argsort(arrival_ms, kind="stable")
-    return Workload(ids[order], arrival_ms[order], demand_ms[order]), digest.hexdigest()
+    # gen writes arrival order, so its files skip the sort and its gathered copies
+    if (arrival_ms[1:] < arrival_ms[:-1]).any():
+        order = np.argsort(arrival_ms, kind="stable")
+        ids, arrival_ms, demand_ms = ids[order], arrival_ms[order], demand_ms[order]
+    return Workload(ids, arrival_ms, demand_ms), digest.hexdigest()
 
 
 READ_BYTES = 1 << 16  # file bytes per block, to a whole line: bounds the text and strings held

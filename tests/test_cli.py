@@ -456,6 +456,19 @@ def test_size_no_machine_allocates_exit_2(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["run", "lb", "--calls"], ["gen", "--calls"],
+                                  ["compare", "--calls"], ["sweep"]], ids=" ".join)
+def test_size_no_machine_allocates_keeps_output(tmp_path, capsys, argv):
+    """The allocation fails before --output is opened, so an existing file
+    keeps its bytes. gen drew its calls while it wrote them, and left the
+    file empty."""
+    out = tmp_path / "keep.json"
+    out.write_text('{"old": 1}')
+    assert main(argv + [str(MAX_CALLS), "--output", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: not enough memory: ")
+    assert out.read_text() == '{"old": 1}'
+
+
 def test_bare_memory_error_worded_exit_2(capsys, monkeypatch):
     """A MemoryError raised without words still says what failed."""
     def exhausted(args):
@@ -777,7 +790,8 @@ class TestGenAndReplay:
         def refuse(params):
             raise AssertionError("a run drew positions")
 
-        monkeypatch.setattr(traffic, "_file_columns", refuse)
+        for module in (traffic, cli):
+            monkeypatch.setattr(module, "workload_columns", refuse)
         monkeypatch.setattr(cli, "compare_systems", spy)
         run_json(tmp_path, ["compare", *(["--workload", str(wl)] if replay else [])])
         (calls,) = simulated

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from helpers import sequential_sum, workload_of
-from oracles import slices_to_finish_loop
+from oracles import records_csv_oracle, slices_to_finish_loop
 
 from cellbalance import engine
 from cellbalance.engine import (
@@ -25,6 +25,7 @@ from cellbalance.engine import (
     slice_execution_time,
     slices_to_finish,
 )
+from cellbalance.report import write_records_csv
 from cellbalance.topology import HOME_BSC, NetworkTopology
 from cellbalance.traffic import WorkloadParams, generate_workload
 
@@ -378,7 +379,8 @@ def test_compare_transient_memory_per_call():
     and a sorted lookup of each queued call's demand peaked at about 81
     B/call, 48 of them the two reports' columns. Writing the queued slice
     counts straight into the report's column and freeing the full argsort
-    peak at about 71 B/call."""
+    peaked at about 59 B/call, and a one-byte serving-BSC column in place of
+    an 8-byte one at about 45."""
     n, pools = 90_000, topo(31300, 34600, 38200)
     calls = generate_workload(WorkloadParams(n_calls=n, seed=42))
     tracemalloc.start()
@@ -387,7 +389,7 @@ def test_compare_transient_memory_per_call():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / n <= 90, f"traced peak {peak / n:.1f} B/call"
+    assert peak / n <= 48, f"traced peak {peak / n:.1f} B/call"
 
 
 @pytest.mark.parametrize(
@@ -411,9 +413,26 @@ def test_load_balanced_memory_beyond_columns(pools):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    columns = 3 * 8 * n  # serving BSC, execution time and slices, 8 B each
+    columns = (1 + 8 + 8) * n  # serving BSC (int8 for 3 pools), execution time and slices
     queued = n - pools[HOME_BSC]
     assert peak - columns <= 17 * queued, f"{(peak - columns) / queued:.1f} B per queued call"
+
+
+@pytest.mark.parametrize("n_pools, dtype", [(128, np.int8), (129, np.int16)])
+def test_serving_column_is_narrowest_dtype(n_pools, dtype):
+    """The serving-BSC column is the narrowest signed integer that holds
+    NO_BSC and every pool index: the 129th pool's index, 128, needs int16.
+    Every pool serves one call here, the last one too, and the record CSV
+    reads the column as the row-by-row oracle does."""
+    calls = workload_of(range(n_pools + 2))  # one call per pool, then two blocked
+    for simulate in (simulate_normal, simulate_load_balanced):
+        report = simulate(topo(*[1] * n_pools), calls)
+        assert report.serving_bscs.dtype == dtype
+    assert report.per_bsc_handled == dict.fromkeys(range(n_pools), 1)
+    assert report.blocked == 2
+    parts = []
+    write_records_csv(parts.append, report)
+    assert "".join(parts) == records_csv_oracle(report)
 
 
 def test_rotation_targets_memory_is_linear_in_handovers():

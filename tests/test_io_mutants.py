@@ -79,6 +79,9 @@ TESTS = {
         lambda factory: traffic_tests.TestWorkloadFiles().test_error_counts_blank_lines(
             factory.mktemp("wl")
         ),
+    "test_traffic.py::TestWorkloadFiles::test_sorted_by_arrival_keeps_ties_in_file_order":
+        lambda factory: traffic_tests.TestWorkloadFiles()
+        .test_sorted_by_arrival_keeps_ties_in_file_order(factory.mktemp("wl")),
     "test_traffic.py::test_undecodable_byte_past_first_block":
         lambda factory: traffic_tests.test_undecodable_byte_past_first_block(
             factory.mktemp("wl"), bad_row=False
@@ -215,6 +218,11 @@ MUTANTS = {
     "the byte offset never advanced": (
         swapped(traffic._text_blocks, "        offset += len(block)\n", ""),
         "test_traffic.py::test_undecodable_byte_past_first_block",
+    ),
+    "never sort": (
+        swapped(traffic.import_workload, "if (arrival_ms[1:] < arrival_ms[:-1]).any():",
+                "if False:"),
+        "test_traffic.py::TestWorkloadFiles::test_sorted_by_arrival_keeps_ties_in_file_order",
     ),
     "blocked calls keep their slice counts": (
         swapped(engine.simulate_load_balanced, "queue_slices[order[capacity:]] = 0", "pass"),

@@ -142,7 +142,8 @@ MUTANTS = {
     ),
     "home admission charges no waiting": (
         lambda mp: mp.setattr(engine, "_home_admitted",
-                              lambda calls, home, waiting_ms: home_admitted(calls, home, 0.0)),
+                              lambda calls, pools, home, waiting_ms:
+                              home_admitted(calls, pools, home, 0.0)),
         "closed form",
     ),
     "over-assigning engine": (over_assigning, "conservation"),

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import import_workload_oracle
 
 from cellbalance import traffic
+from cellbalance.engine import compare_systems
+from cellbalance.topology import NetworkTopology
 from cellbalance.traffic import (
     AREA_KM,
     DEFAULT_ARRIVAL_WINDOW_MS,
@@ -22,19 +24,20 @@ from cellbalance.traffic import (
     generate_workload,
     import_workload,
     running_sum,
+    workload_columns,
 )
 
 def export(params, path):
     """Write the calls of `params` to a workload file through
     format_workload, as gen does."""
     with open(path, "w") as fh:
-        format_workload(fh.write, params)
+        format_workload(fh.write, workload_columns(params))
 
 
 def written(params) -> str:
     """The text format_workload writes for `params`."""
     parts = []
-    format_workload(parts.append, params)
+    format_workload(parts.append, workload_columns(params))
     return "".join(parts)
 
 
@@ -116,11 +119,18 @@ class TestGenerateWorkload:
     def test_params_validation(self):
         with pytest.raises(ValueError, match="n_calls"):
             WorkloadParams(n_calls=-1)
-        for bad in (0.0, math.nan, math.inf):
+        for bad in (0.0, math.nan, math.inf, 10**400):  # the int converts to no float
             with pytest.raises(ValueError, match="arrival_window_ms"):
                 WorkloadParams(n_calls=1, arrival_window_ms=bad)
             with pytest.raises(ValueError, match="demand_ms"):
                 WorkloadParams(n_calls=1, demand_ms=bad)
+
+    def test_int_demand_draws_the_float_calls(self):
+        """An int demand raised OverflowError: the demand column held the
+        int, and _check_values began its min at inf, which no int holds."""
+        params, as_float = (WorkloadParams(n_calls=50, demand_ms=d) for d in (1, 1.0))
+        assert same_workload(generate_workload(params), generate_workload(as_float))
+        assert written(params) == written(as_float)
 
 
 @pytest.mark.parametrize("concern", [0, 1])
@@ -192,6 +202,17 @@ def test_workload_refuses_calls_no_engine_can_run(arrivals, demands, message):
         workload_of(arrivals, demands)
 
 
+def test_workload_of_integer_columns():
+    """Integer columns raised OverflowError in _check_values. They are held
+    to the same rules, and run as their floats do."""
+    ids, topology = np.arange(3), NetworkTopology((1, 1))
+    calls = Workload(ids, np.array([0, 1, 2]), np.array([1, 1, 1]))
+    floats = Workload(ids, np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
+    assert compare_systems(topology, calls) == compare_systems(topology, floats)
+    with pytest.raises(ValueError, match="^demand_ms from 0 to 1, need finite and > 0$"):
+        Workload(ids, np.array([0, 1, 2]), np.array([1, 0, 1]))
+
+
 class TestWorkloadFiles:
     def test_round_trip_bit_identical(self, tmp_path):
         params = WorkloadParams(n_calls=64, seed=5)
@@ -261,6 +282,20 @@ class TestWorkloadFiles:
         assert calls.arrival_ms.tolist() == [1.0, 1.0, 3.0, 3.0]
         assert calls.demand_ms.tolist() == [0.5, 0.7, 0.4, 0.6]
 
+    def test_in_order_file_with_ties_read_as_sorted(self, tmp_path):
+        """A file already in arrival order is not sorted again: its ties,
+        -0.0 before 0.0 among them, come back in file order, bit for bit as
+        the row-by-row reader's stable sort gives them."""
+        path = tmp_path / "calls.csv"
+        rows = ["7,-0.0,0.1,0.1,0.4", "2,0.0,0.2,0.2,0.5", "9,0.0,0.3,0.3,0.6",
+                "4,1.5,0.4,0.4,0.7", "3,1.5,0.5,0.5,0.8", "8,2.0,0.6,0.6,0.9"]
+        path.write_text(WORKLOAD_HEADER + "\n" + "\n".join(rows) + "\n")
+        calls, expected = import_workload(path)[0], import_workload_oracle(path)
+        assert calls.ids.tolist() == expected.ids.tolist() == [7, 2, 9, 4, 3, 8]
+        assert bits(calls.arrival_ms) == bits(expected.arrival_ms)
+        assert bits(calls.demand_ms) == bits(expected.demand_ms)
+        assert math.copysign(1.0, calls.arrival_ms[0]) == -1.0
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=1, max_value=40), seed=st.integers(0, 2**32 - 1))
     def test_round_trip_any_seed(self, tmp_path_factory, n, seed):
@@ -292,9 +327,8 @@ def test_round_trip_adversarial_values_bit_for_bit(tmp_path_factory, rows):
     ids, *floats = zip(*rows) if rows else [()] * 5
     columns = np.array(ids, dtype=np.int64), *(np.array(c, dtype=float) for c in floats)
     path = tmp_path_factory.mktemp("wl") / "calls.csv"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(traffic, "_file_columns", lambda params: columns)
-        export(WorkloadParams(n_calls=len(rows)), path)
+    with open(path, "w") as fh:
+        format_workload(fh.write, columns)
     back = import_workload(path)[0]
     order = np.argsort(columns[1], kind="stable")
     assert back.ids.tolist() == columns[0][order].tolist()
