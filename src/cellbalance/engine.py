@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .topology import HOME_BSC, BscId, NetworkTopology
-from .traffic import CHUNK, Workload, running_sum
+from .traffic import CHUNK, Workload, check_setting, running_sum
 
 DEFAULT_CONTEXT_SWITCH_MS = 0.1
 DEFAULT_WAITING_MS = 3.0
@@ -68,16 +68,10 @@ class LbParams:
     quantum_override_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.context_switch_ms < math.inf:
-            raise ValueError(
-                f"context_switch_ms = {self.context_switch_ms}, need finite and >= 0"
-            )
-        if not 0 <= self.waiting_ms < math.inf:
-            raise ValueError(f"waiting_ms = {self.waiting_ms}, need finite and >= 0")
-        if self.quantum_override_ms is not None and not 0 < self.quantum_override_ms < math.inf:
-            raise ValueError(
-                f"quantum_override_ms = {self.quantum_override_ms}, need finite and > 0"
-            )
+        check_setting("context_switch_ms", self.context_switch_ms)
+        check_setting("waiting_ms", self.waiting_ms)
+        if self.quantum_override_ms is not None:
+            check_setting("quantum_override_ms", self.quantum_override_ms, positive=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +196,7 @@ def compute_quantum(avg_arrival_range_ms: float, ready_queue_size: float) -> flo
     divided by the ready-queue size."""
     if avg_arrival_range_ms <= 0:
         raise UndefinedQuantum(avg_arrival_range_ms)
-    if ready_queue_size <= 0:
-        raise ValueError(f"ready_queue_size = {ready_queue_size}, need > 0")
+    check_setting("ready_queue_size", ready_queue_size, positive=True)
     return avg_arrival_range_ms / ready_queue_size
 
 
@@ -213,7 +206,8 @@ def slice_execution_time(quantum_ms: float, context_switch_ms: float) -> float:
 
 
 def slices_to_finish(demand_ms: float, quantum_ms: float) -> int:
-    """Round-robin passes a call of this demand takes to finish.
+    """Round-robin passes a call of this demand, finite and > 0 as every
+    Workload's is, takes to finish.
 
     Counts the passes of subtracting the quantum until nothing is left, the
     float operations a queued call goes through; ceil(demand / quantum)
@@ -228,8 +222,6 @@ def slices_to_finish(demand_ms: float, quantum_ms: float) -> int:
     2^e are skipped in one division; the step that reaches 2^e is taken for
     real, since its exact result may round onto the finer grid below.
     """
-    if not math.isfinite(demand_ms) or demand_ms <= 0:
-        raise ValueError(f"demand {demand_ms} ms, need finite and > 0")
     slices = 0
     remaining = demand_ms
     while remaining > 0:

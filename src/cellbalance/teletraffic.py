@@ -5,12 +5,11 @@ factorials, which overflow past ~170 channels; the two are algebraically
 identical and the test suite holds them to 1e-12 of each other.
 """
 
-import math
 from dataclasses import dataclass
 
 from .engine import simulate_load_balanced, simulate_normal
 from .topology import NetworkTopology
-from .traffic import MAX_CALLS, WorkloadParams, generate_workload
+from .traffic import MAX_CALLS, WorkloadParams, check_setting, generate_workload
 
 
 @dataclass(frozen=True)
@@ -20,16 +19,13 @@ class OfferedLoad:
     erlangs: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.erlangs < math.inf:
-            raise ValueError(f"offered load = {self.erlangs} erlangs, need finite and >= 0")
+        check_setting("erlangs", self.erlangs)
 
     @classmethod
     def from_rates(cls, lambda_per_s: float, mu_per_s: float) -> "OfferedLoad":
         """Offered load as arrival rate over departure rate."""
-        if not 0 < mu_per_s < math.inf:
-            raise ValueError(f"mu_per_s = {mu_per_s}, need finite and > 0")
-        if not 0 <= lambda_per_s < math.inf:
-            raise ValueError(f"lambda_per_s = {lambda_per_s}, need finite and >= 0")
+        check_setting("mu_per_s", mu_per_s, positive=True)
+        check_setting("lambda_per_s", lambda_per_s)
         return cls(lambda_per_s / mu_per_s)
 
 

@@ -29,6 +29,15 @@ CHUNK = 4096  # per-call items a loop converts or renders at once: bounds what i
 FLOAT_MAX = sys.float_info.max  # a Python float, which compares with any int exactly
 
 
+def check_setting(name: str, value: float, positive: bool = False) -> None:
+    """Raise ValueError naming the setting unless 0 <= value (0 < value if
+    positive) and value <= FLOAT_MAX; NaN fails both. The bound is the
+    largest float, not inf: an int above it is < inf but converts to no
+    float, so it would overflow deep in a run instead of being refused."""
+    if not ((0 < value if positive else 0 <= value) and value <= FLOAT_MAX):
+        raise ValueError(f"{name} = {value}, need finite and {'>' if positive else '>='} 0")
+
+
 @dataclass(frozen=True, eq=False)
 class Workload:
     """Calls as columns, one row per call, in arrival order: id, arrival
@@ -84,13 +93,8 @@ class WorkloadParams:
             raise ValueError(f"n_calls = {self.n_calls}, need >= 0")
         if self.n_calls > MAX_CALLS:
             raise ValueError(f"n_calls = {self.n_calls}, need <= {MAX_CALLS}")
-        # up to the largest float, not inf: an int above it converts to no float
-        if not 0 < self.arrival_window_ms <= FLOAT_MAX:
-            raise ValueError(
-                f"arrival_window_ms = {self.arrival_window_ms}, need finite and > 0"
-            )
-        if not 0 < self.demand_ms <= FLOAT_MAX:
-            raise ValueError(f"demand_ms = {self.demand_ms}, need finite and > 0")
+        check_setting("arrival_window_ms", self.arrival_window_ms, positive=True)
+        check_setting("demand_ms", self.demand_ms, positive=True)
 
 
 def generate_workload(params: WorkloadParams) -> Workload:

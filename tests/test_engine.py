@@ -55,8 +55,9 @@ class TestComputeQuantum:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="avg_arrival_range_ms"):
             compute_quantum(0.0, 5.0)
-        with pytest.raises(ValueError, match="ready_queue_size"):
-            compute_quantum(10.0, 0.0)
+        for bad in (0.0, 10**400, math.nan, math.inf):
+            with pytest.raises(ValueError, match="ready_queue_size"):
+                compute_quantum(10.0, bad)
 
 
 class TestSliceExecutionTime:
@@ -113,17 +114,6 @@ class TestSlicesToFinish:
         assert math.ceil(0.4 / 0.1) == 4
         assert slices_to_finish(0.4, 0.1) == 5
 
-    def test_rejects_nonpositive_demand(self):
-        with pytest.raises(ValueError, match="need finite and > 0"):
-            slices_to_finish(0.0, 1.0)
-        with pytest.raises(ValueError, match="need finite and > 0"):
-            slices_to_finish(-0.5, 1.0)
-
-    @pytest.mark.parametrize("demand", [math.inf, math.nan])
-    def test_rejects_nonfinite_demand(self, demand):
-        with pytest.raises(ValueError, match="need finite and > 0"):
-            slices_to_finish(demand, 1.0)
-
     def test_rejects_quantum_that_cannot_reduce_demand(self):
         with pytest.raises(ValueError, match="never finish"):
             slices_to_finish(1e20, 1.0)
@@ -161,12 +151,12 @@ class TestLbParams:
         assert p.quantum_override_ms is None
 
     def test_validation(self):
-        for bad in (-1.0, math.nan, math.inf):
+        for bad in (-1.0, math.nan, math.inf, 10**400):
             with pytest.raises(ValueError, match="context_switch_ms"):
                 LbParams(context_switch_ms=bad)
             with pytest.raises(ValueError, match="waiting_ms"):
                 LbParams(waiting_ms=bad)
-        for bad in (0.0, math.nan, math.inf):
+        for bad in (0.0, math.nan, math.inf, 10**400):
             with pytest.raises(ValueError, match="quantum_override_ms"):
                 LbParams(quantum_override_ms=bad)
 

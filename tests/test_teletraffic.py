@@ -28,15 +28,15 @@ class TestOfferedLoad:
         assert OfferedLoad.from_rates(4.0, 2.0) == OfferedLoad(2.0)
 
     def test_rejects_negative_load(self):
-        for bad in (-1.0, math.nan, math.inf):
+        for bad in (-1.0, math.nan, math.inf, 10**400):
             with pytest.raises(ValueError, match="erlangs"):
                 OfferedLoad(bad)
 
     def test_rejects_bad_rates(self):
-        for bad in (0.0, math.nan, math.inf):
+        for bad in (0.0, math.nan, math.inf, 10**400):
             with pytest.raises(ValueError, match="mu_per_s"):
                 OfferedLoad.from_rates(4.0, bad)
-        for bad in (-1.0, math.nan, math.inf):
+        for bad in (-1.0, math.nan, math.inf, 10**400):
             with pytest.raises(ValueError, match="lambda_per_s"):
                 OfferedLoad.from_rates(bad, 2.0)
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import import_workload_oracle
 
 from cellbalance import traffic
-from cellbalance.engine import compare_systems
+from cellbalance.engine import LbParams, compare_systems, compute_quantum
+from cellbalance.teletraffic import OfferedLoad
 from cellbalance.topology import NetworkTopology
 from cellbalance.traffic import (
     AREA_KM,
@@ -191,6 +193,7 @@ def test_running_sum_matches_loop(values, start, chunk):
         ([1, math.inf], 0.4, "arrival_ms from 1.0 to inf, need finite and >= 0"),
         ([5, 1], 0.4, "calls not sorted by arrival: call 1 at 1.0 ms after call 0 at 5.0 ms"),
         ([1, 2], [0.0, 0.4], "demand_ms from 0.0 to 0.4, need finite and > 0"),
+        ([1, 2], [0.4, -0.5], "demand_ms from -0.5 to 0.4, need finite and > 0"),
         ([1, 2], [0.4, math.nan], "demand_ms from nan to nan, need finite and > 0"),
         ([1, 2], [0.4, math.inf], "demand_ms from 0.4 to inf, need finite and > 0"),
     ],
@@ -200,6 +203,17 @@ def test_workload_refuses_calls_no_engine_can_run(arrivals, demands, message):
     arrival gave NaN totals, a negative one a negative execution time."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         workload_of(arrivals, demands)
+
+
+@pytest.mark.parametrize("big", [sys.float_info.max, 10**308])
+def test_float_settings_take_up_to_the_largest_float(big):
+    """Every float setting shares one bound, the largest float: a bound
+    set below it would refuse these, a float and an int just under it."""
+    LbParams(context_switch_ms=big, waiting_ms=big, quantum_override_ms=big)
+    assert OfferedLoad(big).erlangs == big
+    assert OfferedLoad.from_rates(big, big).erlangs == 1.0
+    assert compute_quantum(big, big) == 1.0
+    WorkloadParams(arrival_window_ms=big, demand_ms=big)
 
 
 def test_workload_of_integer_columns():
