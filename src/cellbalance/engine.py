@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .topology import HOME_BSC, BscId, NetworkTopology
-from .traffic import CHUNK, Workload, check_setting, running_sum
+from .traffic import CHUNK, FLOAT_MAX, Workload, check_setting, running_sum, shown
 
 DEFAULT_CONTEXT_SWITCH_MS = 0.1
 DEFAULT_WAITING_MS = 3.0
@@ -37,6 +37,12 @@ NORMAL = "normal"
 LOAD_BALANCED = "load_balanced"
 
 NO_BSC = -1  # serving BSC of a blocked call in a report's per-call column
+
+
+def _signed_dtype(largest: int) -> np.dtype:
+    """The narrowest signed integer that holds every value from -1 to
+    `largest`: int8 up to 127."""
+    return np.min_scalar_type(-largest - 1)
 
 
 def disposition(serving_bsc: BscId) -> str:
@@ -81,7 +87,9 @@ class SimulationReport:
     slices. The columns are the run's only record of outcomes; every count
     is read from the serving-BSC column. The engines write that column in
     the narrowest signed integer that holds NO_BSC and every pool index
-    (int8 up to 128 BSCs, int16 beyond).
+    (int8 up to 128 BSCs, int16 beyond), and the slices column in the
+    narrowest that holds the run's largest count (int8 up to 127 passes,
+    and for the normal system's zeros).
 
     Raises ValueError, a run its input overflows, unless the total and the
     quantum are finite, and so every time. Raises RuntimeError, an internal
@@ -125,8 +133,12 @@ class SimulationReport:
 
     @cached_property
     def per_bsc_handled(self) -> dict[BscId, int]:
-        served = self.serving_bscs[self.serving_bscs != NO_BSC]
-        return dict(enumerate(np.bincount(served, minlength=len(self.bsc_channels)).tolist()))
+        # a chunk at a time: bincount casts the codes to intp, 8 B a call
+        handled = np.zeros(len(self.bsc_channels), dtype=np.int64)
+        for begin in range(0, len(self.serving_bscs), CHUNK):
+            codes = self.serving_bscs[begin:begin + CHUNK]
+            handled += np.bincount(codes[codes != NO_BSC], minlength=len(handled))
+        return dict(enumerate(handled.tolist()))
 
     @property
     def accepted_home(self) -> int:
@@ -183,18 +195,23 @@ class ComparisonReport:
 
 
 class UndefinedQuantum(ValueError):
-    """The queued calls' mean arrival time is not above 0 ms, so the
-    quantum formula gives no quantum: one has to be set."""
+    """The queued calls' mean arrival time is not above 0 ms, or is a
+    number (NaN, an int past the largest float) that gives no float
+    quantum: one has to be set."""
 
     def __init__(self, avg_arrival_range_ms: float):
-        super().__init__(f"avg_arrival_range_ms = {avg_arrival_range_ms}, need > 0")
+        super().__init__(
+            f"avg_arrival_range_ms = {shown(avg_arrival_range_ms)}, "
+            "need > 0 and convertible to a float"
+        )
         self.avg_arrival_range_ms = avg_arrival_range_ms
 
 
 def compute_quantum(avg_arrival_range_ms: float, ready_queue_size: float) -> float:
     """Optimum round-robin quantum: mean arrival time of the queued calls
-    divided by the ready-queue size."""
-    if avg_arrival_range_ms <= 0:
+    divided by the ready-queue size. An infinite mean gives an infinite
+    quantum, which the report refuses."""
+    if not 0 < avg_arrival_range_ms <= FLOAT_MAX and avg_arrival_range_ms != math.inf:
         raise UndefinedQuantum(avg_arrival_range_ms)
     check_setting("ready_queue_size", ready_queue_size, positive=True)
     return avg_arrival_range_ms / ready_queue_size
@@ -261,7 +278,7 @@ def simulate_normal(
     total = running_sum(calls.arrival_ms[home:] + params.waiting_ms, running_sum(times[:home]))
     return SimulationReport(
         NORMAL, topology.bsc_channels, total, None, calls.ids, serving, times,
-        np.zeros(n, dtype=np.int64),
+        np.zeros(n, dtype=_signed_dtype(0)),
     )
 
 
@@ -273,7 +290,7 @@ def _home_admitted(
     call is blocked with zero time so far. The serving column is the
     narrowest signed integer that holds NO_BSC and every index of `pools`:
     int8 up to 128 pools."""
-    serving = np.full(len(calls), NO_BSC, dtype=np.min_scalar_type(-len(pools)))
+    serving = np.full(len(calls), NO_BSC, dtype=_signed_dtype(len(pools) - 1))
     serving[:home] = HOME_BSC
     times = np.zeros(len(calls))
     np.add(calls.arrival_ms[:home], waiting_ms, out=times[:home])
@@ -282,7 +299,9 @@ def _home_admitted(
 
 def _rotation_targets(capacities: tuple[int, ...], count: int) -> np.ndarray:
     """Index into capacities of the pool taking each of the first `count`
-    handovers, which must not exceed the pools' total.
+    handovers, which must not exceed the pools' total, in the narrowest
+    signed integer that holds len(capacities), the largest index once
+    shifted past the home pool.
 
     The rotation moves one position past each pool it assigns from and
     skips exhausted ones, so it deals in rounds: one channel from every
@@ -290,7 +309,7 @@ def _rotation_targets(capacities: tuple[int, ...], count: int) -> np.ndarray:
     only at a pool's size, so the targets are filled one run of like rounds
     at a time, then the last, partial round.
     """
-    targets = np.empty(count, dtype=np.int64)
+    targets = np.empty(count, dtype=_signed_dtype(len(capacities)))
     dealt = filled = 0  # rounds dealt, handovers assigned
     for size in sorted(set(capacities)):
         # every pool with a channel in these rounds; pools stay Python ints, of any size
@@ -326,9 +345,9 @@ def simulate_load_balanced(
     n = len(calls)
     home = min(n, pools[HOME_BSC])
     serving, times = _home_admitted(calls, pools, home, params.waiting_ms)
-    slices = np.zeros(n, dtype=np.int64)
     total = running_sum(times[:home])  # the system clock: home calls in arrival order
     quantum = None
+    needed = []  # passes each distinct queued demand takes
     if home < n:
         if params.quantum_override_ms is not None:
             quantum = params.quantum_override_ms
@@ -337,10 +356,17 @@ def simulate_load_balanced(
         queued = calls.demand_ms[home:]
         # with counts np.unique sorts; without, it hashes, which imports numpy.ma
         demands = np.unique(queued, return_counts=True)[0]
-        needed = np.array([slices_to_finish(d, quantum) for d in demands.tolist()], dtype=np.int64)
-        # each queued call's passes, in the report's column; blocked calls' are zeroed below
+        needed = [slices_to_finish(d, quantum) for d in demands.tolist()]
+    # in the column's own dtype, so that np.take below writes without a cast
+    needed = np.array(needed, dtype=_signed_dtype(max(needed, default=0)))
+    slices = np.zeros(n, dtype=needed.dtype)
+    if home < n:
+        # each queued call's passes, in the report's column, looked up a
+        # chunk at a time; blocked calls' are zeroed below
         queue_slices = slices[home:]
-        np.take(needed, np.searchsorted(demands, queued), out=queue_slices)
+        for begin in range(0, n - home, CHUNK):
+            part = slice(begin, begin + CHUNK)
+            np.take(needed, np.searchsorted(demands, queued[part]), out=queue_slices[part])
         # stable: calls finishing in the same pass keep queue order
         order = np.argsort(queue_slices, kind="stable")
         capacity = sum(capacities)
@@ -348,7 +374,7 @@ def simulate_load_balanced(
         served = order[:capacity]  # queue positions of the handed-over calls, as they finish
         targets = _rotation_targets(capacities, len(served))
         targets += HOME_BSC + 1
-        serving[home:][served] = targets  # cast to the column's dtype, which holds every index
+        serving[home:][served] = targets
         del targets  # before the mask below is built
         # only handed-over calls: a blocked one keeps +0.0 even if a slice costs inf
         queue_times = times[home:]

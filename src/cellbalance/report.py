@@ -5,6 +5,8 @@ chunk at a time, as they are written."""
 
 import json
 
+import numpy as np
+
 from .engine import NO_BSC, NORMAL, ComparisonReport, LbParams, SimulationReport, disposition
 from .topology import CELLS_PER_BSC, HOME_BSC
 from .traffic import AREA_KM, CHUNK
@@ -81,23 +83,36 @@ def write_json(write, doc: dict) -> None:
     write(last + "\n")
 
 
-def _record_chunks(report: SimulationReport, outcome):
-    """The per-call columns, CHUNK calls at a time, as four lists: call
-    id, outcome, execution time and slices. A call's outcome is its
-    disposition and serving BSC fields, `outcome(disposition, serving BSC
-    or None)`, rendered once per serving BSC."""
+def _record_chunks(report: SimulationReport, outcome, record: str, separator: str):
+    """The per-call records, CHUNK calls at a time, each chunk one string:
+    `record` % (call id, outcome, execution time, slices) for each call,
+    joined by `separator`. A call's outcome is its disposition and serving
+    BSC fields, `outcome(disposition, serving BSC or None)`, rendered once
+    per serving BSC; its time is the float's repr."""
     outcomes = {
         bsc: outcome(disposition(bsc), None if bsc == NO_BSC else bsc)
         for bsc in range(NO_BSC, len(report.bsc_channels))
     }
     for start in range(0, len(report.call_ids), CHUNK):
         part = slice(start, start + CHUNK)
-        yield (
+        yield separator.join(map(record.__mod__, zip(
             report.call_ids[part].tolist(),
-            list(map(outcomes.__getitem__, report.serving_bscs[part].tolist())),
-            report.execution_times_ms[part].tolist(),
+            map(outcomes.__getitem__, report.serving_bscs[part].tolist()),
+            _rendered_times(report.execution_times_ms[part]),
             report.slices[part].tolist(),
-        )
+        )))
+
+
+def _rendered_times(times: np.ndarray) -> list:
+    """The times for a %s field: when fewer than half are distinct, each
+    distinct one's repr, rendered once; else the floats, whose str is their
+    repr. Distinct by bit pattern, since np.unique on floats merges -0.0
+    with 0.0."""
+    bits, inverse = np.unique(times.view(np.int64), return_inverse=True)
+    if 2 * len(bits) >= len(times):
+        return times.tolist()
+    rendered = list(map(repr, bits.view(np.float64).tolist()))
+    return list(map(rendered.__getitem__, inverse.tolist()))
 
 
 def _write_json_records(write, report: SimulationReport, pad: str) -> None:
@@ -110,9 +125,9 @@ def _write_json_records(write, report: SimulationReport, pad: str) -> None:
         f'{pad}    "execution_time_ms": %s,{pad}    "slices_used": %d{pad}  }}'
     )
     opening = "["
-    for chunk in _record_chunks(report, outcome):
+    for chunk in _record_chunks(report, outcome, record, ","):
         write(opening)  # on its own: prepended, it would copy the chunk's text
-        write(",".join(map(record.__mod__, zip(*chunk))))
+        write(chunk)
         opening = ","
     write("[]" if opening == "[" else pad + "]")
 
@@ -122,8 +137,8 @@ def write_records_csv(write, report: SimulationReport) -> None:
         return f"{disposition},{'' if bsc is None else bsc}"
 
     write("call_id,disposition,serving_bsc,execution_time_ms,slices_used\n")
-    for chunk in _record_chunks(report, outcome):
-        write("".join(map("%d,%s,%r,%d\n".__mod__, zip(*chunk))))
+    for chunk in _record_chunks(report, outcome, "%d,%s,%s,%d\n", ""):
+        write(chunk)
 
 
 def comparison_csv(comparison: ComparisonReport) -> str:

@@ -29,13 +29,22 @@ CHUNK = 4096  # per-call items a loop converts or renders at once: bounds what i
 FLOAT_MAX = sys.float_info.max  # a Python float, which compares with any int exactly
 
 
+def shown(value: float) -> str:
+    """The value as a message shows it: its str, or for an int too long for
+    str (sys.get_int_max_str_digits), its size in bits."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
 def check_setting(name: str, value: float, positive: bool = False) -> None:
     """Raise ValueError naming the setting unless 0 <= value (0 < value if
     positive) and value <= FLOAT_MAX; NaN fails both. The bound is the
     largest float, not inf: an int above it is < inf but converts to no
     float, so it would overflow deep in a run instead of being refused."""
     if not ((0 < value if positive else 0 <= value) and value <= FLOAT_MAX):
-        raise ValueError(f"{name} = {value}, need finite and {'>' if positive else '>='} 0")
+        raise ValueError(f"{name} = {shown(value)}, need finite and {'>' if positive else '>='} 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +99,9 @@ class WorkloadParams:
 
     def __post_init__(self) -> None:
         if self.n_calls < 0:
-            raise ValueError(f"n_calls = {self.n_calls}, need >= 0")
+            raise ValueError(f"n_calls = {shown(self.n_calls)}, need >= 0")
         if self.n_calls > MAX_CALLS:
-            raise ValueError(f"n_calls = {self.n_calls}, need <= {MAX_CALLS}")
+            raise ValueError(f"n_calls = {shown(self.n_calls)}, need <= {MAX_CALLS}")
         check_setting("arrival_window_ms", self.arrival_window_ms, positive=True)
         check_setting("demand_ms", self.demand_ms, positive=True)
 

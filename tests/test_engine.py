@@ -18,6 +18,7 @@ from cellbalance.engine import (
     ComparisonReport,
     LbParams,
     SimulationReport,
+    UndefinedQuantum,
     compare_systems,
     compute_quantum,
     simulate_load_balanced,
@@ -58,6 +59,15 @@ class TestComputeQuantum:
         for bad in (0.0, 10**400, math.nan, math.inf):
             with pytest.raises(ValueError, match="ready_queue_size"):
                 compute_quantum(10.0, bad)
+
+    def test_mean_that_gives_no_float_quantum(self):
+        """A NaN mean gave a NaN quantum and 10**400 raised OverflowError.
+        An infinite mean still gives an infinite quantum, which the report
+        refuses by name."""
+        for bad in (math.nan, 10**400, 10**5000):
+            with pytest.raises(UndefinedQuantum, match="avg_arrival_range_ms"):
+                compute_quantum(bad, 5.0)
+        assert compute_quantum(math.inf, 5.0) == math.inf
 
 
 class TestSliceExecutionTime:
@@ -151,12 +161,13 @@ class TestLbParams:
         assert p.quantum_override_ms is None
 
     def test_validation(self):
-        for bad in (-1.0, math.nan, math.inf, 10**400):
+        # 10**5000 is past the digits str renders, so its message names its size
+        for bad in (-1.0, math.nan, math.inf, 10**400, 10**5000):
             with pytest.raises(ValueError, match="context_switch_ms"):
                 LbParams(context_switch_ms=bad)
             with pytest.raises(ValueError, match="waiting_ms"):
                 LbParams(waiting_ms=bad)
-        for bad in (0.0, math.nan, math.inf, 10**400):
+        for bad in (0.0, math.nan, math.inf, 10**400, 10**5000):
             with pytest.raises(ValueError, match="quantum_override_ms"):
                 LbParams(quantum_override_ms=bad)
 
@@ -390,11 +401,12 @@ def test_compare_transient_memory_per_call():
     ],
 )
 def test_load_balanced_memory_beyond_columns(pools):
-    """Beyond the report's three new columns, the engine holds at most two
-    int64 arrays of the queue (its stable order and the rotation's targets)
+    """Beyond the report's three new columns, the engine holds one intp
+    array of the queue (its stable order), the rotation's one-byte targets
     and one bool mask. Copying the handed-over calls' positions, their slice
     counts and their times peaked at 33.2 B per queued call when every
-    queued call is handed over."""
+    queued call is handed over; int64 targets and one intp demand index
+    per queued call, at 16.3."""
     n = 90_000
     calls = generate_workload(WorkloadParams(n_calls=n, seed=42))
     tracemalloc.start()
@@ -403,9 +415,10 @@ def test_load_balanced_memory_beyond_columns(pools):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    columns = (1 + 8 + 8) * n  # serving BSC (int8 for 3 pools), execution time and slices
+    # serving BSC (int8 for 3 pools), execution time and slices (int8 up to 127 passes)
+    columns = (1 + 8 + 1) * n
     queued = n - pools[HOME_BSC]
-    assert peak - columns <= 17 * queued, f"{(peak - columns) / queued:.1f} B per queued call"
+    assert peak - columns <= 11 * queued, f"{(peak - columns) / queued:.1f} B per queued call"
 
 
 @pytest.mark.parametrize("n_pools, dtype", [(128, np.int8), (129, np.int16)])
@@ -420,6 +433,23 @@ def test_serving_column_is_narrowest_dtype(n_pools, dtype):
         assert report.serving_bscs.dtype == dtype
     assert report.per_bsc_handled == dict.fromkeys(range(n_pools), 1)
     assert report.blocked == 2
+    parts = []
+    write_records_csv(parts.append, report)
+    assert "".join(parts) == records_csv_oracle(report)
+
+
+@pytest.mark.parametrize("passes, dtype", [(127, np.int8), (128, np.int16)])
+def test_slices_column_is_narrowest_dtype(passes, dtype):
+    """The slices column is the narrowest signed integer that holds the
+    run's most passes: 128 needs int16, and the normal system's zeros
+    int8. Both queued calls are handed over with their counts, and the
+    record CSV reads the column as the row-by-row oracle does."""
+    calls = workload_of(range(3), float(passes))
+    params = LbParams(quantum_override_ms=1.0)
+    assert simulate_normal(topo(1, 2), calls, params).slices.dtype == np.int8
+    report = simulate_load_balanced(topo(1, 2), calls, params)
+    assert report.slices.dtype == dtype
+    assert report.slices.tolist() == [0] + [slices_to_finish_loop(float(passes), 1.0)] * 2
     parts = []
     write_records_csv(parts.append, report)
     assert "".join(parts) == records_csv_oracle(report)

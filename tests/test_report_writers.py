@@ -109,6 +109,33 @@ def test_streamed_bytes_equal_oracle(argv):
         strict_json(expected)
 
 
+# six calls, the first arriving at -0.0 ms: with no waiting, it is served
+# in -0.0 ms and the five blocked calls take 0.0
+NEGATIVE_ZERO_ARRIVAL = (
+    "0,-0.0,0.5,0.5,0.4\n1,1.0,0.5,0.5,0.4\n2,2.0,0.5,0.5,0.4\n"
+    "3,3.0,0.5,0.5,0.4\n4,4.0,0.5,0.5,0.4\n5,5.0,0.5,0.5,0.4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["run", "normal", "--full"], id="json"),
+        pytest.param(["run", "normal", "--format", "csv"], id="csv"),
+        pytest.param(["compare", "--full"], id="compare"),
+    ],
+)
+def test_negative_zero_time_equals_oracle(tmp_path, argv):
+    """A chunk's times are rendered once per distinct bit pattern: keyed on
+    the floats, -0.0 and 0.0 were one value, and the normal report wrote
+    -0.0 for all six calls."""
+    workload = tmp_path / "calls.csv"
+    workload.write_text(WORKLOAD_HEADER + "\n" + NEGATIVE_ZERO_ARRIVAL)
+    test_streamed_bytes_equal_oracle.hypothesis.inner_test(
+        argv=argv + ["--workload", str(workload), "--bsc-channels", "1,0", "--waiting", "-0.0"]
+    )
+
+
 HUGE_ARRIVALS = "0,1.5e308,0.1,0.1,0.4\n1,1.6e308,0.2,0.2,0.4\n"
 
 

@@ -119,9 +119,11 @@ class TestGenerateWorkload:
             assert column.tobytes() == placed_column.tobytes()
 
     def test_params_validation(self):
-        with pytest.raises(ValueError, match="n_calls"):
-            WorkloadParams(n_calls=-1)
-        for bad in (0.0, math.nan, math.inf, 10**400):  # the int converts to no float
+        # 10**5000 is past the digits str renders, so its message names its size
+        for bad in (-1, traffic.MAX_CALLS + 1, 10**5000, -10**5000):
+            with pytest.raises(ValueError, match="n_calls"):
+                WorkloadParams(n_calls=bad)
+        for bad in (0.0, math.nan, math.inf, 10**400, 10**5000):  # the ints convert to no float
             with pytest.raises(ValueError, match="arrival_window_ms"):
                 WorkloadParams(n_calls=1, arrival_window_ms=bad)
             with pytest.raises(ValueError, match="demand_ms"):
