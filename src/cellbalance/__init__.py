@@ -9,7 +9,6 @@ rates in context.
 from .engine import (
     CallRecord,
     ComparisonReport,
-    LbParams,
     SimulationReport,
     compare_systems,
     compute_quantum,
@@ -24,13 +23,8 @@ from .teletraffic import (
     erlang_b,
     format_blocking_csv,
 )
-from .topology import BscId, NetworkTopology
-from .traffic import (
-    Workload,
-    WorkloadParams,
-    generate_workload,
-    import_workload,
-)
+from .topology import BscId, LbParams, NetworkTopology, WorkloadParams
+from .traffic import Workload, generate_workload, import_workload
 
 __version__ = "0.1.0"
 

@@ -13,13 +13,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .engine import (
-    LbParams,
-    UndefinedQuantum,
-    compare_systems,
-    simulate_load_balanced,
-    simulate_normal,
-)
+from .engine import UndefinedQuantum, compare_systems, simulate_load_balanced, simulate_normal
 from .report import (
     comparison_csv,
     comparison_document,
@@ -30,14 +24,8 @@ from .report import (
     write_records_csv,
 )
 from .teletraffic import OfferedLoad, blocking_sweep, erlang_b, format_blocking_csv
-from .topology import NetworkTopology
-from .traffic import (
-    WorkloadParams,
-    format_workload,
-    generate_workload,
-    import_workload,
-    workload_columns,
-)
+from .topology import LbParams, NetworkTopology, WorkloadParams
+from .traffic import format_workload, generate_workload, import_workload, workload_columns
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1

@@ -27,11 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .topology import HOME_BSC, BscId, NetworkTopology
-from .traffic import CHUNK, FLOAT_MAX, Workload, check_setting, running_sum, shown
-
-DEFAULT_CONTEXT_SWITCH_MS = 0.1
-DEFAULT_WAITING_MS = 3.0
+from .topology import FLOAT_MAX, HOME_BSC, BscId, LbParams, NetworkTopology, check_setting, shown
+from .traffic import CHUNK, Workload, running_sum
 
 NORMAL = "normal"
 LOAD_BALANCED = "load_balanced"
@@ -65,19 +62,6 @@ class CallRecord:
     serving_bsc: BscId | None
     execution_time_ms: float
     slices_used: int
-
-
-@dataclass(frozen=True)
-class LbParams:
-    context_switch_ms: float = DEFAULT_CONTEXT_SWITCH_MS
-    waiting_ms: float = DEFAULT_WAITING_MS
-    quantum_override_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        check_setting("context_switch_ms", self.context_switch_ms)
-        check_setting("waiting_ms", self.waiting_ms)
-        if self.quantum_override_ms is not None:
-            check_setting("quantum_override_ms", self.quantum_override_ms, positive=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,8 +8,8 @@ identical and the test suite holds them to 1e-12 of each other.
 from dataclasses import dataclass
 
 from .engine import simulate_load_balanced, simulate_normal
-from .topology import NetworkTopology
-from .traffic import MAX_CALLS, WorkloadParams, check_setting, generate_workload
+from .topology import MAX_CALLS, NetworkTopology, WorkloadParams, check_count, check_setting
+from .traffic import generate_workload
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ def erlang_b(a: OfferedLoad, n_channels: int) -> float:
     finite, so once E(k) underflows to 0.0 every later step is 0.0 too and
     the loop stops; until then it takes one step per channel.
     """
-    if n_channels < 0:
-        raise ValueError(f"n_channels = {n_channels}, need >= 0")
+    check_count("n_channels", n_channels)
     load = a.erlangs
     prob = 1.0
     for k in range(1, n_channels + 1):
@@ -60,10 +59,7 @@ def blocking_sweep(topology: NetworkTopology, load_levels: list[int]) -> list[Bl
     so blocking depends only on the level and the pools: no seed is taken."""
     previous = None
     for n in load_levels:
-        if n < 0:
-            raise ValueError(f"load level {n} is negative")
-        if n > MAX_CALLS:
-            raise ValueError(f"load level {n} is above {MAX_CALLS}, the most calls numpy allocates")
+        check_count("load level", n, MAX_CALLS)
         if previous is not None and n < previous:
             raise ValueError(f"load levels must ascend: {n} after {previous}")
         previous = n

@@ -10,41 +10,18 @@ the engines can run: sorted by arrival, with finite, valid values.
 
 import hashlib
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-DEFAULT_ARRIVAL_WINDOW_MS = 2000.0
-DEFAULT_DEMAND_MS = 0.4
-DEFAULT_N_CALLS = 900
-DEFAULT_SEED = 42
+from .topology import WorkloadParams
+
 AREA_KM = 1.0
 
 WORKLOAD_HEADER = "id,arrival_ms,x_km,y_km,demand_ms"
 INT64 = np.iinfo(np.int64)
-MAX_CALLS = INT64.max // 8  # the longest 8-byte per-call column numpy allocates
 CHUNK = 4096  # per-call items a loop converts or renders at once: bounds what it holds
-FLOAT_MAX = sys.float_info.max  # a Python float, which compares with any int exactly
-
-
-def shown(value: float) -> str:
-    """The value as a message shows it: its str, or for an int too long for
-    str (sys.get_int_max_str_digits), its size in bits."""
-    try:
-        return str(value)
-    except ValueError:
-        return f"an int of {value.bit_length()} bits"
-
-
-def check_setting(name: str, value: float, positive: bool = False) -> None:
-    """Raise ValueError naming the setting unless 0 <= value (0 < value if
-    positive) and value <= FLOAT_MAX; NaN fails both. The bound is the
-    largest float, not inf: an int above it is < inf but converts to no
-    float, so it would overflow deep in a run instead of being refused."""
-    if not ((0 < value if positive else 0 <= value) and value <= FLOAT_MAX):
-        raise ValueError(f"{name} = {shown(value)}, need finite and {'>' if positive else '>='} 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,22 +65,6 @@ def _check_values(arrival_ms: np.ndarray, demand_ms: np.ndarray) -> None:
         if not (least <= low and high < math.inf):
             held = low if len(values) == 1 else f"from {low} to {high}"
             raise ValueError(f"{name} {held}, {need}")
-
-
-@dataclass(frozen=True)
-class WorkloadParams:
-    n_calls: int = DEFAULT_N_CALLS
-    seed: int = DEFAULT_SEED
-    arrival_window_ms: float = DEFAULT_ARRIVAL_WINDOW_MS
-    demand_ms: float = DEFAULT_DEMAND_MS
-
-    def __post_init__(self) -> None:
-        if self.n_calls < 0:
-            raise ValueError(f"n_calls = {shown(self.n_calls)}, need >= 0")
-        if self.n_calls > MAX_CALLS:
-            raise ValueError(f"n_calls = {shown(self.n_calls)}, need <= {MAX_CALLS}")
-        check_setting("arrival_window_ms", self.arrival_window_ms, positive=True)
-        check_setting("demand_ms", self.demand_ms, positive=True)
 
 
 def generate_workload(params: WorkloadParams) -> Workload:

@@ -19,14 +19,8 @@ from cellbalance.cli import (
     main,
     parse_levels,
 )
-from cellbalance.topology import NetworkTopology
-from cellbalance.traffic import (
-    DEFAULT_DEMAND_MS,
-    MAX_CALLS,
-    WORKLOAD_HEADER,
-    WorkloadParams,
-    generate_workload,
-)
+from cellbalance.topology import MAX_CALLS, NetworkTopology
+from cellbalance.traffic import WORKLOAD_HEADER, WorkloadParams, generate_workload
 
 
 def reject_constant(name):
@@ -430,7 +424,8 @@ def refused_sizes():
         need = f"n_calls = {size}, need <= {MAX_CALLS}"
         yield pytest.param(["run", "lb", "--calls", str(size)], need, id=f"run{tag}")
         yield pytest.param(["gen", "--calls", str(size)], need, id=f"gen{tag}")
-        yield pytest.param(["sweep", str(size)], f"load level {size}", id=f"sweep{tag}")
+        yield pytest.param(["sweep", str(size)], f"load level = {size}, need <= {MAX_CALLS}",
+                           id=f"sweep{tag}")
 
 
 @pytest.mark.parametrize("argv, named", refused_sizes())
@@ -546,7 +541,7 @@ class TestCompareCommand:
         ranks = np.arange(home + 1, n + 1)
         mean_sum = window * ranks.sum() / (n + 1)
         q = mean_sum / m**2
-        k = engine.slices_to_finish(DEFAULT_DEMAND_MS, q)
+        k = engine.slices_to_finish(WorkloadParams().demand_ms, q)
         expected = mean_sum + m * params.waiting_ms - h * k * (q + params.context_switch_ms)
         # Cov(U_(i), U_(j)) = W^2 i (n + 1 - j) / ((n + 1)^2 (n + 2)) for i <= j
         tails = n + 1 - ranks
@@ -597,7 +592,7 @@ class TestSweepCommand:
 
     def test_negative_level_exit_2(self, capsys):
         assert main(["sweep", "--", "-1:5:1"]) == EXIT_USAGE
-        assert "negative" in capsys.readouterr().err
+        assert "load level = -1, need >= 0" in capsys.readouterr().err
 
     def test_seed_changes_no_byte(self, tmp_path):
         """sweep accepts --seed, and nothing reads it."""

@@ -65,3 +65,19 @@ def test_one_seeded_draw():
             if name in banned:
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
+
+
+def test_settings_import_only_the_standard_library():
+    """Every setting and its rules live in `topology`, which imports no
+    numpy, so that a command needing no arrays could start without it.
+    Importing the module runs cellbalance/__init__, which loads numpy, so
+    its imports are read from its source."""
+    path = Path(cellbalance.__file__).parent / "topology.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    assert [name for name in imported if name.split(".")[0] not in sys.stdlib_module_names] == []

@@ -128,7 +128,7 @@ class TestBlockingSweep:
             blocking_sweep(DEFAULT_TOPO, [100, 50])
 
     def test_rejects_negative_level(self):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="load level = -5, need >= 0"):
             blocking_sweep(DEFAULT_TOPO, [-5, 10])
 
     @pytest.mark.parametrize(
