@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .engine import UndefinedQuantum, compare_systems, simulate_load_balanced, simulate_normal
+from .engine import compare_systems, simulate_load_balanced, simulate_normal
 from .report import (
     comparison_csv,
     comparison_document,
@@ -186,20 +186,11 @@ def _same_file(a: str, b: str) -> bool:
 def _simulated(args: argparse.Namespace, config: RunConfig, simulate):
     """simulate(topology, calls, lb_params) on the command's calls, and the
     report params that say where they came from: the --workload file's
-    digest, or what generated them."""
+    digest, or what generated them. A refused run names its workload."""
     path = args.workload
     if args.full and config.format == "csv":
         raise ValueError("--full adds per-call records to JSON only, and format is csv")
-    if path is None:
-        params = config.workload_params
-        calls = generate_workload(params)
-        source = {
-            "seed": params.seed,
-            "arrival_window_ms": params.arrival_window_ms,
-            "demand_ms": params.demand_ms,
-        }
-        named = "the generated workload"
-    else:
+    if path is not None:
         keys = [key for key in WORKLOAD_KEYS if getattr(args, key) is not None]
         if keys:
             flags = ", ".join(CONFIG_KEYS[key][0] for key in keys)
@@ -212,22 +203,24 @@ def _simulated(args: argparse.Namespace, config: RunConfig, simulate):
                 f"--output '{config.output}' is the --workload file: "
                 "writing the report would destroy the calls it replays"
             )
-        named = f"workload '{path}'"
-        try:
+    try:
+        if path is None:
+            params = config.workload_params
+            calls = generate_workload(params)
+            source = {
+                "seed": params.seed,
+                "arrival_window_ms": params.arrival_window_ms,
+                "demand_ms": params.demand_ms,
+            }
+        else:
             if not path:  # Path("") is ".", a directory never given
                 raise ValueError("the path is empty")
             calls, digest = import_workload(path)
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"{named}: {exc}") from exc
-        source = {"workload_sha256": digest}
-    try:
+            source = {"workload_sha256": digest}
         return simulate(config.topology, calls, config.lb_params), source
-    except UndefinedQuantum as exc:
-        raise ValueError(
-            f"{named}: the overflow calls' mean arrival is {exc.avg_arrival_range_ms} ms, "
-            "so the round-robin quantum (mean arrival / overflow calls) is undefined; "
-            "set one with --quantum"
-        ) from exc
+    except (OSError, ValueError) as exc:
+        named = "the generated workload" if path is None else f"workload '{path}'"
+        raise ValueError(f"{named}: {exc}") from exc
 
 
 def _cmd_run(args: argparse.Namespace, config: RunConfig):

@@ -178,25 +178,18 @@ class ComparisonReport:
         return self.normal.total_execution_time_ms - self.load_balanced.total_execution_time_ms
 
 
-class UndefinedQuantum(ValueError):
-    """The queued calls' mean arrival time is not above 0 ms, or is a
-    number (NaN, an int past the largest float) that gives no float
-    quantum: one has to be set."""
-
-    def __init__(self, avg_arrival_range_ms: float):
-        super().__init__(
-            f"avg_arrival_range_ms = {shown(avg_arrival_range_ms)}, "
-            "need > 0 and convertible to a float"
-        )
-        self.avg_arrival_range_ms = avg_arrival_range_ms
-
-
 def compute_quantum(avg_arrival_range_ms: float, ready_queue_size: float) -> float:
     """Optimum round-robin quantum: mean arrival time of the queued calls
-    divided by the ready-queue size. An infinite mean gives an infinite
-    quantum, which the report refuses."""
+    divided by the ready-queue size. Raises ValueError when the mean is not
+    above 0 ms or is a number (NaN, an int past the largest float) that
+    gives no float quantum: one has to be set. An infinite mean gives an
+    infinite quantum, which the report refuses."""
     if not 0 < avg_arrival_range_ms <= FLOAT_MAX and avg_arrival_range_ms != math.inf:
-        raise UndefinedQuantum(avg_arrival_range_ms)
+        raise ValueError(
+            f"avg_arrival_range_ms = {shown(avg_arrival_range_ms)}, need > 0 and convertible "
+            "to a float, so the round-robin quantum (mean arrival / queue size) is undefined; "
+            "set one with quantum_override_ms (--quantum)"
+        )
     check_setting("ready_queue_size", ready_queue_size, positive=True)
     return avg_arrival_range_ms / ready_queue_size
 
@@ -330,46 +323,44 @@ def simulate_load_balanced(
     home = min(n, pools[HOME_BSC])
     serving, times = _home_admitted(calls, pools, home, params.waiting_ms)
     total = running_sum(times[:home])  # the system clock: home calls in arrival order
-    quantum = None
-    needed = []  # passes each distinct queued demand takes
-    if home < n:
-        if params.quantum_override_ms is not None:
-            quantum = params.quantum_override_ms
-        else:
-            quantum = compute_quantum(running_sum(calls.arrival_ms[home:]) / (n - home), float(n - home))
-        queued = calls.demand_ms[home:]
-        # with counts np.unique sorts; without, it hashes, which imports numpy.ma
-        demands = np.unique(queued, return_counts=True)[0]
-        needed = [slices_to_finish(d, quantum) for d in demands.tolist()]
+    if home == n:  # no overflow: no quantum and no slices
+        slices = np.zeros(n, dtype=_signed_dtype(0))
+        return SimulationReport(LOAD_BALANCED, pools, total, None, calls.ids, serving, times, slices)
+    if params.quantum_override_ms is not None:
+        quantum = params.quantum_override_ms
+    else:
+        quantum = compute_quantum(running_sum(calls.arrival_ms[home:]) / (n - home), float(n - home))
+    queued = calls.demand_ms[home:]
+    # with counts np.unique sorts; without, it hashes, which imports numpy.ma
+    demands = np.unique(queued, return_counts=True)[0]
+    needed = [slices_to_finish(d, quantum) for d in demands.tolist()]  # passes per demand
     # in the column's own dtype, so that np.take below writes without a cast
-    needed = np.array(needed, dtype=_signed_dtype(max(needed, default=0)))
+    needed = np.array(needed, dtype=_signed_dtype(max(needed)))
     slices = np.zeros(n, dtype=needed.dtype)
-    if home < n:
-        # each queued call's passes, in the report's column, looked up a
-        # chunk at a time; blocked calls' are zeroed below
-        queue_slices = slices[home:]
-        for begin in range(0, n - home, CHUNK):
-            part = slice(begin, begin + CHUNK)
-            np.take(needed, np.searchsorted(demands, queued[part]), out=queue_slices[part])
-        # stable: calls finishing in the same pass keep queue order
-        order = np.argsort(queue_slices, kind="stable")
-        capacity = sum(capacities)
-        queue_slices[order[capacity:]] = 0
-        served = order[:capacity]  # queue positions of the handed-over calls, as they finish
-        targets = _rotation_targets(capacities, len(served))
-        targets += HOME_BSC + 1
-        serving[home:][served] = targets
-        del targets  # before the mask below is built
-        # only handed-over calls: a blocked one keeps +0.0 even if a slice costs inf
-        queue_times = times[home:]
-        slice_time = slice_execution_time(quantum, params.context_switch_ms)
-        np.multiply(queue_slices, slice_time, out=queue_times, where=queue_slices > 0)
-        # then the handovers as they finish, gathered a chunk at a time: the
-        # sum runs left to right, so chunking it changes no bit
-        for begin in range(0, len(served), CHUNK):
-            total = running_sum(queue_times[served[begin:begin + CHUNK]], start=total)
-        del order, served  # freed before the report's own check allocates
-
+    # each queued call's passes, in the report's column, looked up a chunk
+    # at a time; blocked calls' are zeroed below
+    queue_slices = slices[home:]
+    for begin in range(0, n - home, CHUNK):
+        part = slice(begin, begin + CHUNK)
+        np.take(needed, np.searchsorted(demands, queued[part]), out=queue_slices[part])
+    # stable: calls finishing in the same pass keep queue order
+    order = np.argsort(queue_slices, kind="stable")
+    capacity = sum(capacities)
+    queue_slices[order[capacity:]] = 0
+    served = order[:capacity]  # queue positions of the handed-over calls, as they finish
+    targets = _rotation_targets(capacities, len(served))
+    targets += HOME_BSC + 1
+    serving[home:][served] = targets
+    del targets  # before the mask below is built
+    # only handed-over calls: a blocked one keeps +0.0 even if a slice costs inf
+    queue_times = times[home:]
+    slice_time = slice_execution_time(quantum, params.context_switch_ms)
+    np.multiply(queue_slices, slice_time, out=queue_times, where=queue_slices > 0)
+    # then the handovers as they finish, gathered a chunk at a time: the sum
+    # runs left to right, so chunking it changes no bit
+    for begin in range(0, len(served), CHUNK):
+        total = running_sum(queue_times[served[begin:begin + CHUNK]], start=total)
+    del order, served  # freed before the report's own check allocates
     return SimulationReport(LOAD_BALANCED, pools, total, quantum, calls.ids, serving, times, slices)
 
 

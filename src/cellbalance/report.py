@@ -7,8 +7,8 @@ import json
 
 import numpy as np
 
-from .engine import NO_BSC, NORMAL, ComparisonReport, LbParams, SimulationReport, disposition
-from .topology import CELLS_PER_BSC, HOME_BSC
+from .engine import NO_BSC, NORMAL, ComparisonReport, SimulationReport, disposition
+from .topology import CELLS_PER_BSC, HOME_BSC, LbParams
 from .traffic import AREA_KM, CHUNK
 
 

@@ -5,7 +5,7 @@ its channel pools, one per BSC, home first. Every BSC has CELLS_PER_BSC
 cells, which only the console line and a report's params name: a cell
 carries no capacity of its own. The workload and load-balancing params sit
 beside the topology, each default written once, as its field's default.
-Every count is held to check_count and every other number but the seed
+Every count and the seed are held to check_count and every other number
 to check_setting. This module imports no numpy.
 """
 
@@ -42,13 +42,13 @@ def check_setting(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} = {shown(value)}, need finite and {'>' if positive else '>='} 0")
 
 
-def check_count(name: str, value: int, most: float = math.inf) -> None:
+def check_count(name: str, value: int, most: float = math.inf, least: float = 0) -> None:
     """Raise ValueError naming the count unless it is an integer (it has
-    __index__, as numpy's integers do), >= 0 and <= most."""
+    __index__, as numpy's integers do), >= least and <= most."""
     if not hasattr(value, "__index__"):
         need = "an integer"
-    elif value < 0:
-        need = ">= 0"
+    elif value < least:
+        need = f">= {least}"
     elif value > most:
         need = f"<= {most}"
     else:
@@ -86,6 +86,7 @@ class WorkloadParams:
 
     def __post_init__(self) -> None:
         check_count("n_calls", self.n_calls, MAX_CALLS)
+        check_count("seed", self.seed, least=-math.inf)  # any integer, negative too
         check_setting("arrival_window_ms", self.arrival_window_ms, positive=True)
         check_setting("demand_ms", self.demand_ms, positive=True)
 

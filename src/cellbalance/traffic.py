@@ -10,6 +10,7 @@ the engines can run: sorted by arrival, with finite, valid values.
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,8 +89,9 @@ def _uniform(seed: int, concern: int, high: float, n: int) -> np.ndarray:
     of one of PCG64's raw words as a fraction of 2**53, converted CHUNK
     words at a time. numpy keeps that bit stream across releases (NEP 19),
     not its uniform method, which draws these same floats today."""
-    # mask to 64 bits so negative seeds stay valid SeedSequence entropy
-    bits = np.random.PCG64(np.random.SeedSequence(seed % 2**64).spawn(2)[concern])
+    # a Python int, since 2**64 fits no numpy one, masked so negative seeds are valid entropy
+    entropy = operator.index(seed) % 2**64
+    bits = np.random.PCG64(np.random.SeedSequence(entropy).spawn(2)[concern])
     draws = np.empty(n)
     for begin in range(0, n, CHUNK):
         chunk = draws[begin:begin + CHUNK]
@@ -164,9 +166,9 @@ def _text_blocks(fh, digest):
     hashing its bytes as they are read. Every block but the last ends in a
     b"\\n", which no UTF-8 sequence holds and which ends every line break it
     is part of, so each block decodes and splits into lines as it would
-    within the whole text. A block that does not decode raises its error
-    with the message the whole text's error has, naming the bad byte and
-    its position in the file."""
+    within the whole text. A block that does not decode raises ValueError
+    with the message of the whole text's decode error, naming the bad byte
+    and its position in the file."""
     offset = 0
     while lines := fh.readlines(READ_BYTES):
         block = b"".join(lines)
@@ -174,27 +176,14 @@ def _text_blocks(fh, digest):
         try:
             text = block.decode()
         except UnicodeDecodeError as exc:
-            raise _FileDecodeError(offset, *exc.args) from None
+            start, end = offset + exc.start, offset + exc.end
+            if exc.end == exc.start + 1:
+                bad = f"byte 0x{block[exc.start]:02x} in position {start}"
+            else:
+                bad = f"bytes in position {start}-{end - 1}"
+            raise ValueError(f"'{exc.encoding}' codec can't decode {bad}: {exc.reason}") from None
         offset += len(block)
         yield text
-
-
-class _FileDecodeError(UnicodeDecodeError):
-    """A block's decode error, `offset` bytes into the file, whose message
-    is the one CPython gives the whole file's error: its object is the
-    block, not the bytes before it too."""
-
-    def __init__(self, offset: int, *args) -> None:
-        super().__init__(*args)
-        self.offset = offset
-
-    def __str__(self) -> str:
-        start, end = self.offset + self.start, self.offset + self.end
-        if self.end == self.start + 1:
-            bad = f"byte 0x{self.object[self.start]:02x} in position {start}"
-        else:
-            bad = f"bytes in position {start}-{end - 1}"
-        return f"'{self.encoding}' codec can't decode {bad}: {self.reason}"
 
 
 def _read_columns(fh, digest, path) -> tuple[np.ndarray, ...]:

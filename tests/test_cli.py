@@ -311,6 +311,8 @@ def test_workload_through_a_pipe(tmp_path, fault):
     piped = run_cli(["compare", "--workload", "/dev/stdin"], input=bytes(data))
     on_disk = run_cli(["compare", "--workload", str(path)])
     assert piped.returncode == on_disk.returncode == (EXIT_OK if fault is None else EXIT_USAGE)
+    if fault == "bad last row":  # the line past the header and 3000 rows
+        assert f"{path}:3002: ".encode() in on_disk.stderr
     assert piped.stdout == on_disk.stdout
     assert piped.stderr == on_disk.stderr.replace(str(path).encode(), b"/dev/stdin")
 
@@ -641,8 +643,9 @@ class TestErlangCommand:
     def test_negative_load_exit_2(self):
         assert main(["erlang", "--a", "-1", "--n", "2"]) == EXIT_USAGE
 
-    def test_negative_channels_exit_2(self):
+    def test_negative_channels_exit_2(self, capsys):
         assert main(["erlang", "--a", "1", "--n", "-2"]) == EXIT_USAGE
+        assert "n_channels = -2, need >= 0" in capsys.readouterr().err
 
     def test_underflow_stops_the_recurrence(self, capsys):
         """Once E(k) is 0.0 every later step is too; 10^9 steps took minutes."""
@@ -902,10 +905,40 @@ class TestGenAndReplay:
         rows = ["0,0.0,1.0,1.0,0.4", "1,0.0,1.0,1.0,0.4"]
         code, err, where = self.replay_rows(tmp_path, capsys, command, rows)
         assert code == EXIT_USAGE
-        assert f"workload '{where[:-1]}': the overflow calls' mean arrival is 0.0 ms" in err
-        assert "set one with --quantum" in err
+        assert f"workload '{where[:-1]}': avg_arrival_range_ms = 0.0, need > 0" in err
+        assert "set one with quantum_override_ms (--quantum)" in err
         code, err, _ = self.replay_rows(tmp_path, capsys, command + ["--quantum", "0.5"], rows)
         assert code == EXIT_OK, err
+
+
+@pytest.mark.parametrize(
+    "argv, rows, fault",
+    [
+        pytest.param(["compare", "--bsc-channels", "1,1"],
+                     ["0,0.0,1.0,1.0,0.4", "1,0.0,1.0,1.0,0.4"],
+                     "avg_arrival_range_ms = 0.0, need > 0", id="undefined quantum"),
+        pytest.param(["compare", "--calls", "5", "--bsc-channels", "1,5", "--quantum", "1e-300"],
+                     None, "quantum_ms = 1e-300 is too small to reduce a demand of 0.4 ms",
+                     id="quantum too small"),
+        pytest.param(["compare", "--calls", "3", "--bsc-channels", "0,40", "--quantum", "1e308",
+                      "--context-switch", "1e308"],
+                     None, "load_balanced run: total execution time inf ms overflows a float",
+                     id="total overflows"),
+    ],
+)
+def test_run_refusal_names_its_workload(tmp_path, capsys, argv, rows, fault):
+    """A run's refusal names the workload it ran, replayed or generated: a
+    generated workload's too-small quantum and overflowing total named
+    none."""
+    named = "the generated workload"
+    if rows is not None:
+        path = tmp_path / "wl.csv"
+        path.write_text(WORKLOAD_HEADER + "\n" + "\n".join(rows) + "\n")
+        argv = argv + ["--workload", str(path)]
+        named = f"workload '{path}'"
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: {fault}")
 
 
 class TestConfigFile:

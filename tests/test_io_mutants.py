@@ -211,8 +211,8 @@ MUTANTS = {
         "test_traffic.py::test_import_matches_row_by_row_reader[duplicate, bad arrival]",
     ),
     "decode position relative to its block": (
-        swapped(traffic._FileDecodeError.__str__,
-                "self.offset + self.start, self.offset + self.end", "self.start, self.end"),
+        swapped(traffic._text_blocks,
+                "offset + exc.start, offset + exc.end", "exc.start, exc.end"),
         "test_traffic.py::test_undecodable_byte_past_first_block",
     ),
     "the byte offset never advanced": (

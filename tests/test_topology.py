@@ -14,6 +14,7 @@ from cellbalance.topology import (
     WorkloadParams,
     shown,
 )
+from cellbalance.traffic import workload_columns
 
 
 class TestBuildTopology:
@@ -55,19 +56,21 @@ def test_max_calls_is_the_longest_8_byte_column():
     assert MAX_CALLS == np.iinfo(np.int64).max // 8
 
 
-# each count setting: its name in a refusal, how to set it, and its bound
+# each count setting: its name in a refusal, how to set it, and its bounds
 COUNTS = {
-    "bsc_channels[1]": (lambda n: NetworkTopology((1, n)), math.inf),
-    "n_calls": (lambda n: WorkloadParams(n_calls=n), MAX_CALLS),
-    "load level": (lambda n: blocking_sweep(NetworkTopology(), [n]), MAX_CALLS),
-    "n_channels": (lambda n: erlang_b(OfferedLoad(1), n), math.inf),
+    "bsc_channels[1]": (lambda n: NetworkTopology((1, n)), 0, math.inf),
+    "n_calls": (lambda n: WorkloadParams(n_calls=n), 0, MAX_CALLS),
+    "load level": (lambda n: blocking_sweep(NetworkTopology(), [n]), 0, MAX_CALLS),
+    "n_channels": (lambda n: erlang_b(OfferedLoad(1), n), 0, math.inf),
+    "seed": (lambda n: WorkloadParams(seed=n), -math.inf, math.inf),
 }
 
 
 def refused_counts():
-    for name, (_, most) in COUNTS.items():
-        refusals = [("-1", -1, ">= 0"), ("-10**5000", -10**5000, ">= 0"),
-                    ("2.5", 2.5, "an integer"), ("nan", math.nan, "an integer")]
+    for name, (_, least, most) in COUNTS.items():
+        refusals = [("-1", -1, ">= 0"), ("-10**5000", -10**5000, ">= 0")] if least == 0 else []
+        refusals += [("2.5", 2.5, "an integer"), ("nan", math.nan, "an integer"),
+                     ("str", "7", "an integer")]
         if most < math.inf:
             refusals += [("MAX_CALLS+1", MAX_CALLS + 1, f"<= {MAX_CALLS}"),
                          ("10**5000", 10**5000, f"<= {MAX_CALLS}")]
@@ -78,10 +81,12 @@ def refused_counts():
 @pytest.mark.parametrize("name, value, need", refused_counts())
 def test_one_count_rule(name, value, need):
     """Every count is refused by name unless it is an integer >= 0 within
-    its bound. A NaN pool ran, since min(5, nan) is 5, and reported 5 calls
-    accepted at home; a float pool, level or count raised TypeError, and a
-    count of more than 4300 digits Python's str limit, naming nothing."""
-    build, _ = COUNTS[name]
+    its bound, and the seed unless it is an integer. A NaN pool ran, since
+    min(5, nan) is 5, and reported 5 calls accepted at home; a float pool,
+    level or count raised TypeError, and a count of more than 4300 digits
+    Python's str limit, naming nothing. A float or str seed raised numpy's
+    TypeError from generate_workload."""
+    build = COUNTS[name][0]
     with pytest.raises(ValueError) as refused:
         build(value)
     assert str(refused.value) == f"{name} = {shown(value)}, need {need}"
@@ -89,6 +94,16 @@ def test_one_count_rule(name, value, need):
 
 @pytest.mark.parametrize("name", COUNTS)
 def test_counts_take_numpy_integers(name):
-    build, _ = COUNTS[name]
+    build = COUNTS[name][0]
     build(np.int64(3))
     build(np.uint8(0))
+
+
+@pytest.mark.parametrize("seed, same_as", [(np.int64(5), 5), (np.uint64(2**64 - 1), -1),
+                                           (-1, 2**64 - 1)])
+def test_seed_takes_any_integer(seed, same_as):
+    """A numpy or negative seed draws the calls and positions of the
+    Python int it equals mod 2**64: np.int64(5) raised OverflowError from
+    `seed % 2**64`, since 2**64 fits no numpy integer."""
+    drawn, expected = (workload_columns(WorkloadParams(n_calls=50, seed=s)) for s in (seed, same_as))
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))

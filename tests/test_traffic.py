@@ -414,7 +414,7 @@ def test_undecodable_byte_past_first_block(tmp_path, bad_row):
     at = data.index(b"\n", 2 * traffic.READ_BYTES) + 1
     data[at] = 0xFF
     path.write_bytes(data)
-    with pytest.raises(UnicodeDecodeError) as raised:
+    with pytest.raises(ValueError) as raised:
         import_workload(path)
     with pytest.raises(UnicodeDecodeError) as whole:
         bytes(data).decode()
@@ -443,7 +443,7 @@ def test_multibyte_sequence_cut_short(tmp_path, at_end, message):
         at = data.index(b"\n", 2 * traffic.READ_BYTES) + 1
         data[at:at + 2] = b"\xe2\x82"
     path.write_bytes(data)
-    with pytest.raises(UnicodeDecodeError) as raised:
+    with pytest.raises(ValueError) as raised:
         import_workload(path)
     with pytest.raises(UnicodeDecodeError) as whole:
         bytes(data).decode()
@@ -463,7 +463,7 @@ def test_decode_error_memory_stays_flat(tmp_path):
     path.write_bytes(data)
     tracemalloc.start()
     try:
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ValueError):
             import_workload(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
